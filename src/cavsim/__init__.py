@@ -1,6 +1,8 @@
 """Consensus-controlled connected-vehicle simulator with motion estimation
 under communication delay and packet loss."""
 
+import logging
+
 from .control import ControlGains, GainTable, consensus_accel, lookup_gains
 from .dynamics import DynamicsLimits, step_vehicle
 from .engine import (
@@ -16,14 +18,11 @@ from .errors import CavSimError, ColdStart, ConfigError, HorizonExhausted, Numer
 from .estimation import (
     EstimatorParams,
     EstimatorState,
-    compensate_delay,
     integrate_position,
-    predict_follower_speed,
     predict_leader_speed,
     target_motion_for_control,
-    update_estimates,
 )
-from .network import ChannelModel, InFlightQueue, deliver_due, transmit
+from .network import ChannelModel, transmit
 from .scenario import (
     CrossingSequence,
     IntersectionSpec,
@@ -37,3 +36,6 @@ from .scenario import (
 from .types import Beacon, TargetView, TrajectoryEstimate, VehicleState, lerp_trajectory
 
 __version__ = "0.1.0"
+
+# Library use stays silent unless the application configures logging.
+logging.getLogger(__name__).addHandler(logging.NullHandler())

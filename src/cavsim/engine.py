@@ -89,7 +89,7 @@ class EstimatorSettings:
     v_target: float = 15.0
     implicit_solve: bool = False
 
-    def params(self, limits: DynamicsLimits | None = None) -> EstimatorParams:
+    def params(self, limits: DynamicsLimits) -> EstimatorParams:
         n = max(1, round(self.horizon_s / self.prediction_step))
         return EstimatorParams(
             prediction_step=self.prediction_step,
@@ -522,13 +522,16 @@ class SimulationEngine:
         return result
 
     def _summarize(self, result: RunResult, step_times: list[float]) -> None:
-        errors = [row[3] for row in result.metrics]
+        errors: list[float] = []
+        rows_by_vehicle: dict[VehicleId, list[tuple]] = {vid: [] for vid in self.vehicles}
+        for row in result.metrics:
+            errors.append(row[3])
+            rows_by_vehicle[row[1]].append(row)
         per_vehicle: dict[str, dict] = {}
         for vid, veh in self.vehicles.items():
-            veh_errors = [row[3] for row in result.metrics if row[1] == vid]
-            linked = sum(1 for row in result.metrics if row[1] == vid and row[5])
-            unlinked = sum(1 for row in result.metrics if row[1] == vid and not row[5])
-            exhausted = sum(1 for row in result.metrics if row[1] == vid and row[6])
+            rows = rows_by_vehicle[vid]
+            veh_errors = [row[3] for row in rows]
+            linked = sum(1 for row in rows if row[5])
             per_vehicle[str(vid)] = {
                 "leg": veh.state.leg,
                 "intersection": veh.intersection,
@@ -539,8 +542,8 @@ class SimulationEngine:
                 "max_abs_pos_err_m": max((abs(e) for e in veh_errors), default=None),
                 "rms_pos_err_m": _rms(veh_errors),
                 "steps_link_up": linked,
-                "steps_link_down": unlinked,
-                "steps_horizon_exhausted": exhausted,
+                "steps_link_down": len(rows) - linked,
+                "steps_horizon_exhausted": sum(1 for row in rows if row[6]),
             }
         result.summary = {
             "max_abs_pos_err_m": max((abs(e) for e in errors), default=0.0),

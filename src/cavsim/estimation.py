@@ -1,19 +1,25 @@
 """Future-trajectory estimation and stale-data compensation.
 
 Each vehicle predicts its own motion over a horizon of N samples spaced
-``prediction_step`` apart and broadcasts the result. A chain leader predicts
-free driving toward a preset target speed; a follower propagates the
-consensus law along the horizon using its target's latest broadcast,
-compensated for the age of the received horizon. When no beacon arrives,
-the previous estimate is held (shifted to the new anchor), and the
-follower's controller reads the target's last broadcast horizon instead of
-live data.
+``prediction_step`` apart and broadcasts the result. There is one
+forward-Euler recursion per vehicle role. A chain leader predicts free
+driving toward a preset target speed (``predict_leader_speed``); a follower
+propagates the consensus law along the horizon using its target's latest
+broadcast, compensated for the age of the received horizon
+(``follower_estimate``). When no beacon arrives, the previous estimate is
+held (shifted to the new anchor), and the follower's controller reads the
+target's last broadcast horizon instead of live data.
 
 Conventions shared with the plant: forward Euler, positions integrated from
-the pre-update speed, speeds clamped at zero. The follower recursion applies
-the consensus law to the previous-sample pair of both vehicles, which makes
-the one-step-ahead estimate bit-identical to the plant under zero delay,
-zero loss, and matching steps.
+the pre-update speed, speeds clamped into the actuator envelope
+(``limits=None`` means unbounded). The follower recursion applies the
+consensus law to the previous-sample pair of both vehicles, which makes the
+one-step-ahead estimate bit-identical to the plant under zero delay, zero
+loss, and matching steps.
+
+The scalar per-sample forms of delay compensation and the follower
+transition live in the test suite as the reference oracle; tests pin both
+recursions here to them bit for bit.
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .control import ControlGains, consensus_accel_raw
+from .control import ControlGains
 from .dynamics import DynamicsLimits
 from .errors import ColdStart, HorizonExhausted, NumericFault
 from .types import (
@@ -33,22 +39,23 @@ from .types import (
     SimTime,
     TargetView,
     TrajectoryEstimate,
-    VehicleId,
     VehicleState,
     lerp_trajectory,
 )
 
 log = logging.getLogger(__name__)
 
+_UNBOUNDED = DynamicsLimits(math.inf, math.inf, math.inf)
+
 
 @dataclass(frozen=True)
 class EstimatorParams:
     """Horizon geometry and the leader's free-driving model constants.
 
-    When ``limits`` is set, the recursions respect the ego vehicle's own
-    actuator envelope (a vehicle knows what its plant can deliver), keeping
-    estimates aligned with the saturated plant. ``limits=None`` gives the
-    pure unsaturated formulas.
+    ``limits`` is the ego vehicle's own actuator envelope (a vehicle knows
+    what its plant can deliver), which keeps estimates aligned with the
+    saturated plant. ``limits=None`` means unbounded: the recursions run
+    under ``DynamicsLimits(inf, inf, inf)``.
     """
 
     prediction_step: float = 0.1
@@ -66,17 +73,6 @@ class EstimatorParams:
             raise ValueError("horizon_len must be >= 1")
         if self.a_max <= 0 or self.sigma <= 0 or self.v_target <= 0:
             raise ValueError("a_max, sigma, v_target must be > 0")
-
-    def step_speed(self, v: float, accel: float) -> float:
-        """One forward-Euler speed step under the configured envelope.
-
-        Mirrors the plant's clamp expressions exactly so that estimator
-        and plant transitions agree bit-for-bit.
-        """
-        if self.limits is None:
-            return max(0.0, v + accel * self.prediction_step)
-        applied = min(max(accel, -self.limits.decel_max), self.limits.accel_max)
-        return min(max(v + applied * self.prediction_step, 0.0), self.limits.speed_max)
 
 
 @dataclass
@@ -119,7 +115,8 @@ def predict_leader_speed(params: EstimatorParams, v_now: float) -> list[float]:
     """Speed horizon of a vehicle with no target, converging to v_target.
 
     Recursion: v[k] = v[k-1] + a_max * (1 - (v[k-1]/v_target)^sigma) * dt,
-    clamped at zero, with v[0] = v_now.
+    with the acceleration and the speed clamped exactly as the plant clamps
+    them, and v[0] = v_now.
     """
     if v_now < 0:
         raise ValueError("v_now must be >= 0")
@@ -127,23 +124,17 @@ def predict_leader_speed(params: EstimatorParams, v_now: float) -> list[float]:
     sigma = params.sigma
     v_target = params.v_target
     dt = params.prediction_step
-    limits = params.limits
+    limits = params.limits or _UNBOUNDED
+    decel_max = limits.decel_max
+    accel_max = limits.accel_max
+    speed_max = limits.speed_max
     speeds: list[float] = []
     v = v_now
-    if limits is None:
-        for _ in range(params.horizon_len):
-            accel = a_max * (1.0 - (v / v_target) ** sigma)
-            v = max(0.0, v + accel * dt)
-            speeds.append(v)
-    else:
-        decel_max = limits.decel_max
-        accel_cap = limits.accel_max
-        speed_max = limits.speed_max
-        for _ in range(params.horizon_len):
-            accel = a_max * (1.0 - (v / v_target) ** sigma)
-            applied = min(max(accel, -decel_max), accel_cap)
-            v = min(max(v + applied * dt, 0.0), speed_max)
-            speeds.append(v)
+    for _ in range(params.horizon_len):
+        accel = a_max * (1.0 - (v / v_target) ** sigma)
+        applied = min(max(accel, -decel_max), accel_max)
+        v = min(max(v + applied * dt, 0.0), speed_max)
+        speeds.append(v)
     return speeds
 
 
@@ -184,116 +175,21 @@ def build_estimate(
     )
 
 
-def compensate_delay(
-    target_est: TrajectoryEstimate,
-    k: int,
-    tau: float,
-    params: EstimatorParams,
-) -> tuple[float, float]:
-    """Delay-compensated target speed and position for horizon transition k.
-
-    The transition from sample k-1 to k consumes the target's sample k-1,
-    so the lookup baselines there. For tau below one prediction step the
-    stale speed is held unchanged; for larger tau it is extrapolated forward
-    by (tau/dt) per-step speed deltas (first-order hold). The position is
-    the previous sample advanced by the compensated speed over the delay:
-
-        r_adj = r[k-1] + v_adj * tau
-
-    A delay exceeding k prediction steps means even the anchor predates the
-    requested time; the extrapolation still runs but is logged.
-    """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if not 1 <= k <= target_est.horizon_len:
-        raise ValueError(f"horizon index {k} outside 1..{target_est.horizon_len}")
-    dt = target_est.step
-    base = k - 1
-    if tau < dt:
-        v_adj = target_est.speed_at(base)
-    else:
-        if tau > k * dt:
-            log.debug(
-                "delay %.4f s predates the estimate anchor at horizon index %d; "
-                "extrapolating from the oldest usable sample",
-                tau,
-                k,
-            )
-        delta = target_est.speed_at(base + 1) - target_est.speed_at(base)
-        v_adj = target_est.speed_at(base) + (tau / dt) * delta
-    v_adj = max(0.0, v_adj)
-    r_adj = target_est.position_at(k - 1) + v_adj * tau
-    return v_adj, r_adj
-
-
-def predict_follower_speed(
-    prev_v: float,
-    prev_r: float,
-    target_v_adj: float,
-    target_r_adj: float,
-    gains: ControlGains,
-    l_target: float,
-    t_gap: float,
-    params: EstimatorParams,
-) -> float:
-    """One speed-horizon transition of a following vehicle.
-
-    Default (explicit) form applies the consensus law to the previous-sample
-    pair and steps forward by the prediction step:
-
-        v_next = prev_v + u(prev_r, prev_v, r_adj, v_adj) * dt
-
-    clamped at zero. The implicit variant solves the published fixed-point
-    form (next speed on both sides, follower position advanced) in closed
-    form; it is config-gated for comparison and off by default.
-    """
-    for name, value in (
-        ("prev_v", prev_v),
-        ("prev_r", prev_r),
-        ("target_v_adj", target_v_adj),
-        ("target_r_adj", target_r_adj),
-    ):
-        if not math.isfinite(value):
-            raise NumericFault(f"non-finite estimator input {name}={value}")
-    if t_gap <= 0:
-        raise ValueError("t_gap must be > 0")
-    dt = params.prediction_step
-    if params.implicit_solve:
-        a = gains.alpha * gains.k * dt
-        r_next = prev_r + prev_v * dt
-        numer = prev_v - a * (r_next - target_r_adj + l_target - gains.gamma * target_v_adj)
-        v_solved = numer / (1.0 + a * (t_gap + gains.gamma))
-        accel = (v_solved - prev_v) / dt
-    else:
-        accel = consensus_accel_raw(
-            prev_r,
-            prev_v,
-            target_r_adj,
-            target_v_adj,
-            l_target,
-            t_gap,
-            gains.alpha,
-            gains.k,
-            gains.gamma,
-        )
-    v_next = params.step_speed(prev_v, accel)
-    if not math.isfinite(v_next):
-        raise NumericFault("follower speed prediction diverged to non-finite")
-    return v_next
-
-
 def _compensated_target_arrays(
     target_est: TrajectoryEstimate,
     tau: float,
     horizon_len: int,
     dt: float,
 ) -> tuple[list[float], list[float]]:
-    """Vectorized compensate_delay over every transition index 1..horizon_len.
+    """Delay-compensated target speed and position for every transition.
 
-    Produces exactly the per-index values of ``compensate_delay``; when the
-    received horizon is shorter than ours, the final sample is held and
-    dead-reckoned forward. Kept bit-identical to the scalar operation (the
-    test suite pins this).
+    Transition k (1..horizon_len) consumes the target's sample k-1. For a
+    delay below one prediction step that speed is held; for a longer delay
+    it is extrapolated forward by (tau/dt) per-step speed deltas
+    (first-order hold) and clamped at zero. The position is the sample k-1
+    position advanced by the compensated speed over the delay. When the
+    received horizon is shorter than ours, its final sample is held and
+    dead-reckoned forward. A non-finite result raises NumericFault.
     """
     n_t = target_est.horizon_len
     samples = np.empty(n_t + 1)
@@ -318,6 +214,9 @@ def _compensated_target_arrays(
         r_pad = r_last + v_pad * ((ks - 1 - n_t) * dt + tau)
         v_adj = np.concatenate([v_adj, v_pad])
         r_adj = np.concatenate([r_adj, r_pad])
+    # Every speed enters a position, so a finite r_adj implies a finite v_adj.
+    if not np.isfinite(r_adj).all():
+        raise NumericFault("non-finite sample in the received target horizon")
     return v_adj.tolist(), r_adj.tolist()
 
 
@@ -331,10 +230,12 @@ def follower_estimate(
 ) -> TrajectoryEstimate:
     """Full horizon of a follower from a freshly received target beacon.
 
-    Equivalent to composing ``compensate_delay`` and
-    ``predict_follower_speed`` sample by sample; the consensus arithmetic is
-    inlined in the exact operation order of ``consensus_accel_raw`` and the
-    plant step, so the hot loop stays bit-compatible with both.
+    Each transition applies the consensus law to the previous-sample pair,
+    in the exact operation order of ``consensus_accel_raw``, and steps the
+    speed as the plant does, so the loop stays bit-compatible with both.
+    With ``implicit_solve`` the transition instead solves the published
+    fixed-point form (next speed on both sides, follower position advanced)
+    in closed form; it is config-gated for comparison and off by default.
 
     The compensated delay is the age of the received horizon itself,
     ``now - estimate.anchor_time``: with per-step refresh that equals the
@@ -344,6 +245,8 @@ def follower_estimate(
     tau = now - beacon.estimate.anchor_time
     if now - beacon.send_time < 0:
         raise ValueError("beacon from the future")
+    if t_gap <= 0:
+        raise ValueError("t_gap must be > 0")
     dt = params.prediction_step
     l_target = beacon.state.length
     v_adj, r_adj = _compensated_target_arrays(
@@ -352,45 +255,33 @@ def follower_estimate(
     alpha = float(gains.alpha)
     k_gain = gains.k
     gamma = gains.gamma
-    limits = params.limits
-    if params.implicit_solve:
-        speeds: list[float] = []
-        v = own.speed
-        r = own.position
-        for idx in range(params.horizon_len):
-            v_next = predict_follower_speed(
-                v, r, v_adj[idx], r_adj[idx], gains, l_target, t_gap, params
-            )
-            r = r + v * dt
-            v = v_next
-            speeds.append(v_next)
-        return build_estimate(now, own, speeds, dt)
-    speeds = []
+    implicit = params.implicit_solve
+    a = alpha * k_gain * dt
+    denom = 1.0 + a * (t_gap + gamma)
+    limits = params.limits or _UNBOUNDED
+    decel_max = limits.decel_max
+    accel_max = limits.accel_max
+    speed_max = limits.speed_max
+    speeds: list[float] = []
     positions: list[float] = []
     v = own.speed
     r = own.position
-    if limits is None:
-        for idx in range(params.horizon_len):
+    for idx in range(params.horizon_len):
+        if implicit:
+            numer = v - a * (r + v * dt - r_adj[idx] + l_target - gamma * v_adj[idx])
+            accel = (numer / denom - v) / dt
+        else:
             spacing = r - r_adj[idx] + l_target + v * t_gap
             accel = -alpha * k_gain * (spacing + gamma * (v - v_adj[idx]))
-            r = r + v * dt
-            v = max(0.0, v + accel * dt)
-            speeds.append(v)
-            positions.append(r)
-    else:
-        decel_max = limits.decel_max
-        accel_max = limits.accel_max
-        speed_max = limits.speed_max
-        for idx in range(params.horizon_len):
-            spacing = r - r_adj[idx] + l_target + v * t_gap
-            accel = -alpha * k_gain * (spacing + gamma * (v - v_adj[idx]))
-            applied = min(max(accel, -decel_max), accel_max)
-            r = r + v * dt
-            v = min(max(v + applied * dt, 0.0), speed_max)
-            speeds.append(v)
-            positions.append(r)
-    if not math.isfinite(v):
-        raise NumericFault("follower speed prediction diverged to non-finite")
+        applied = min(max(accel, -decel_max), accel_max)
+        r = r + v * dt
+        v = min(max(v + applied * dt, 0.0), speed_max)
+        speeds.append(v)
+        positions.append(r)
+    # A non-finite speed or position stays non-finite along the recursion,
+    # so checking the final sample covers the whole horizon.
+    if not (math.isfinite(v) and math.isfinite(r)):
+        raise NumericFault("follower horizon prediction diverged to non-finite")
     return TrajectoryEstimate(
         anchor_time=now,
         step=dt,
@@ -434,43 +325,6 @@ def shift_held_estimate(
         )
         return leader_estimate(now, own, params)
     return build_estimate(now, own, remaining, previous.step)
-
-
-def update_estimates(
-    fleet_order: Sequence[VehicleId],
-    states: Mapping[VehicleId, EstimatorState],
-    ground_truth: Mapping[VehicleId, VehicleState],
-    params: EstimatorParams,
-    gains: Mapping[VehicleId, ControlGains],
-    t_gap: float,
-    now: SimTime,
-) -> dict[VehicleId, TrajectoryEstimate]:
-    """One chain pass: refresh every vehicle's own estimate at time ``now``.
-
-    ``fleet_order`` is the communication chain, leader first. Followers with
-    a beacon received this step recompute from it; followers without one
-    hold their previous estimate; a follower with neither raises ColdStart.
-    Each vehicle's resulting estimate is written back to its state.
-    """
-    out: dict[VehicleId, TrajectoryEstimate] = {}
-    for idx, vid in enumerate(fleet_order):
-        st = states[vid]
-        own = ground_truth[vid]
-        if idx == 0:
-            est = leader_estimate(now, own, params)
-        elif st.link_up and st.last_target_beacon is not None:
-            est = follower_estimate(
-                now, own, st.last_target_beacon, gains[vid], t_gap, params
-            )
-        elif st.own_estimate is not None:
-            est = shift_held_estimate(now, own, st.own_estimate, params)
-        else:
-            raise ColdStart(
-                f"vehicle {vid} has no previous estimate and no beacon from its target"
-            )
-        st.own_estimate = est
-        out[vid] = est
-    return out
 
 
 def target_motion_for_control(

@@ -172,15 +172,6 @@ class InFlightQueue:
             yield entry.receiver, entry.beacon
 
 
-def deliver_due(queue: InFlightQueue, now: SimTime) -> list[Beacon]:
-    """All beacons due at or before ``now`` in deterministic order.
-
-    Receiver-side freshest-wins filtering is applied by V2XChannel; this
-    returns the raw ordered drain.
-    """
-    return [beacon for _, beacon in queue.pop_due(now)]
-
-
 class V2XChannel:
     """Engine-facing channel: per-link streams, queue, and receiver inboxes.
 

@@ -1,0 +1,163 @@
+"""Scalar reference forms of the estimator's per-sample operations.
+
+``cavsim.estimation`` computes whole horizons in one loop per vehicle role.
+These functions state one transition at a time, in the operation order of
+the published recursion, and the tests compare the fast loops against them
+bit for bit.
+"""
+
+from __future__ import annotations
+
+import logging
+import math
+
+from cavsim.control import ControlGains, consensus_accel_raw
+from cavsim.errors import NumericFault
+from cavsim.estimation import EstimatorParams
+from cavsim.types import TrajectoryEstimate
+
+log = logging.getLogger(__name__)
+
+
+def step_speed(params: EstimatorParams, v: float, accel: float) -> float:
+    """One forward-Euler speed step under the configured envelope.
+
+    Mirrors the plant's clamp expressions exactly so that estimator and
+    plant transitions agree bit-for-bit.
+    """
+    if params.limits is None:
+        return max(0.0, v + accel * params.prediction_step)
+    limits = params.limits
+    applied = min(max(accel, -limits.decel_max), limits.accel_max)
+    return min(max(v + applied * params.prediction_step, 0.0), limits.speed_max)
+
+
+def compensate_delay(
+    target_est: TrajectoryEstimate,
+    k: int,
+    tau: float,
+    params: EstimatorParams,
+) -> tuple[float, float]:
+    """Delay-compensated target speed and position for horizon transition k.
+
+    The transition from sample k-1 to k consumes the target's sample k-1,
+    so the lookup baselines there. For tau below one prediction step the
+    stale speed is held unchanged; for larger tau it is extrapolated forward
+    by (tau/dt) per-step speed deltas (first-order hold). The position is
+    the previous sample advanced by the compensated speed over the delay:
+
+        r_adj = r[k-1] + v_adj * tau
+
+    A delay exceeding k prediction steps means even the anchor predates the
+    requested time; the extrapolation still runs but is logged.
+    """
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
+    if not 1 <= k <= target_est.horizon_len:
+        raise ValueError(f"horizon index {k} outside 1..{target_est.horizon_len}")
+    dt = target_est.step
+    base = k - 1
+    if tau < dt:
+        v_adj = target_est.speed_at(base)
+    else:
+        if tau > k * dt:
+            log.debug(
+                "delay %.4f s predates the estimate anchor at horizon index %d; "
+                "extrapolating from the oldest usable sample",
+                tau,
+                k,
+            )
+        delta = target_est.speed_at(base + 1) - target_est.speed_at(base)
+        v_adj = target_est.speed_at(base) + (tau / dt) * delta
+    v_adj = max(0.0, v_adj)
+    r_adj = target_est.position_at(k - 1) + v_adj * tau
+    return v_adj, r_adj
+
+
+def predict_follower_speed(
+    prev_v: float,
+    prev_r: float,
+    target_v_adj: float,
+    target_r_adj: float,
+    gains: ControlGains,
+    l_target: float,
+    t_gap: float,
+    params: EstimatorParams,
+) -> float:
+    """One speed-horizon transition of a following vehicle.
+
+    Default (explicit) form applies the consensus law to the previous-sample
+    pair and steps forward by the prediction step:
+
+        v_next = prev_v + u(prev_r, prev_v, r_adj, v_adj) * dt
+
+    clamped at zero. The implicit variant solves the published fixed-point
+    form (next speed on both sides, follower position advanced) in closed
+    form.
+    """
+    for name, value in (
+        ("prev_v", prev_v),
+        ("prev_r", prev_r),
+        ("target_v_adj", target_v_adj),
+        ("target_r_adj", target_r_adj),
+    ):
+        if not math.isfinite(value):
+            raise NumericFault(f"non-finite estimator input {name}={value}")
+    if t_gap <= 0:
+        raise ValueError("t_gap must be > 0")
+    dt = params.prediction_step
+    if params.implicit_solve:
+        a = gains.alpha * gains.k * dt
+        r_next = prev_r + prev_v * dt
+        numer = prev_v - a * (r_next - target_r_adj + l_target - gains.gamma * target_v_adj)
+        v_solved = numer / (1.0 + a * (t_gap + gains.gamma))
+        accel = (v_solved - prev_v) / dt
+    else:
+        accel = consensus_accel_raw(
+            prev_r,
+            prev_v,
+            target_r_adj,
+            target_v_adj,
+            l_target,
+            t_gap,
+            gains.alpha,
+            gains.k,
+            gains.gamma,
+        )
+    v_next = step_speed(params, prev_v, accel)
+    if not math.isfinite(v_next):
+        raise NumericFault("follower speed prediction diverged to non-finite")
+    return v_next
+
+
+def follower_speeds(
+    own_speed: float,
+    own_position: float,
+    target_est: TrajectoryEstimate,
+    tau: float,
+    gains: ControlGains,
+    l_target: float,
+    t_gap: float,
+    params: EstimatorParams,
+) -> list[float]:
+    """A follower's speed horizon composed sample by sample.
+
+    Past the end of the target's horizon its final sample is held and
+    dead-reckoned forward.
+    """
+    dt = params.prediction_step
+    n_t = target_est.horizon_len
+    v = own_speed
+    r = own_position
+    speeds = []
+    for k in range(1, params.horizon_len + 1):
+        if k <= n_t:
+            v_adj, r_adj = compensate_delay(target_est, k, tau, params)
+        else:
+            v_adj = max(0.0, target_est.speed_at(n_t))
+            r_adj = target_est.position_at(n_t) + v_adj * ((k - 1 - n_t) * dt + tau)
+        v_next = predict_follower_speed(v, r, v_adj, r_adj, gains, l_target, t_gap, params)
+        r = r + v * dt
+        v = v_next
+        speeds.append(v_next)
+    return speeds

@@ -1,7 +1,9 @@
 import dataclasses
+import math
 
 import pytest
 
+from cavsim.cli import write_metrics_csv, write_trajectory_csv
 from cavsim.control import GainTable
 from cavsim.engine import (
     ControlConfig,
@@ -15,7 +17,13 @@ from cavsim.errors import ConfigError, NumericFault
 from cavsim.network import ChannelModel
 from cavsim.scenario import IntersectionSpec, LegSpec, SpawnEvent, SpawnPlan
 
-from conftest import PERFECT_CHANNEL, nominal_twenty, perfect_two_vehicle, with_seed
+from conftest import (
+    PERFECT_CHANNEL,
+    nominal_twenty,
+    paper_stress,
+    perfect_two_vehicle,
+    with_seed,
+)
 
 
 class TestDeterminism:
@@ -181,3 +189,46 @@ def test_summary_contains_stable_keys():
         "per_vehicle",
     ):
         assert key in result.summary
+
+
+def test_per_vehicle_summary_matches_brute_force():
+    result = run(paper_stress(prediction_step=0.1))
+    per_vehicle = result.summary["per_vehicle"]
+    assert len(per_vehicle) == result.summary["vehicle_count"]
+    for key, stats in per_vehicle.items():
+        rows = [row for row in result.metrics if row[1] == int(key)]
+        errors = [row[3] for row in rows]
+        assert stats["max_abs_pos_err_m"] == max((abs(e) for e in errors), default=None)
+        expected_rms = (
+            math.sqrt(sum(e * e for e in errors) / len(errors)) if errors else None
+        )
+        assert stats["rms_pos_err_m"] == expected_rms
+        assert stats["steps_link_up"] == sum(1 for row in rows if row[5])
+        assert stats["steps_link_down"] == sum(1 for row in rows if not row[5])
+        assert stats["steps_horizon_exhausted"] == sum(1 for row in rows if row[6])
+    # The blackout windows leave vehicle 2's follower without a link.
+    assert sum(s["steps_link_down"] for s in per_vehicle.values()) > 0
+
+
+def test_implicit_solve_whole_run(tmp_path):
+    explicit = paper_stress(prediction_step=0.1)
+    implicit = dataclasses.replace(
+        explicit,
+        estimator=dataclasses.replace(explicit.estimator, implicit_solve=True),
+    )
+    first = run(implicit)
+    for row in first.trajectory:
+        assert all(math.isfinite(v) for v in row[3:6])
+    for row in first.metrics:
+        assert math.isfinite(row[3]) and math.isfinite(row[4])
+
+    def csv_bytes(result, name):
+        write_trajectory_csv(tmp_path / f"{name}_trajectory.csv", result)
+        write_metrics_csv(tmp_path / f"{name}_metrics.csv", result)
+        return (
+            (tmp_path / f"{name}_trajectory.csv").read_bytes(),
+            (tmp_path / f"{name}_metrics.csv").read_bytes(),
+        )
+
+    assert csv_bytes(first, "first") == csv_bytes(run(implicit), "replay")
+    assert first.trajectory != run(explicit).trajectory

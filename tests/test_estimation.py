@@ -1,28 +1,38 @@
 import logging
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavsim.control import ControlGains
 from cavsim.dynamics import DynamicsLimits
-from cavsim.errors import ColdStart
+from cavsim.engine import SimulationEngine, _SimVehicle
+from cavsim.errors import ColdStart, NumericFault
 from cavsim.estimation import (
     EstimatorParams,
     EstimatorState,
-    compensate_delay,
     follower_estimate,
     idm_free_accel,
     integrate_position,
     leader_estimate,
-    predict_follower_speed,
     predict_leader_speed,
     shift_held_estimate,
     target_motion_for_control,
-    update_estimates,
 )
 from cavsim.types import Beacon, TrajectoryEstimate, VehicleState, lerp_trajectory
 
+from conftest import perfect_two_vehicle
+from estimation_oracle import (
+    compensate_delay,
+    follower_speeds,
+    predict_follower_speed,
+    step_speed,
+)
+
 GAINS = ControlGains(k=0.5, gamma=0.8, alpha=1)
+# Tight enough that both acceleration clamps and the speed cap bind in the
+# randomized cases below.
+TIGHT_LIMITS = DynamicsLimits(accel_max=1.0, decel_max=2.0, speed_max=18.0)
 
 
 def params(**kw):
@@ -98,6 +108,18 @@ class TestLeaderPrediction:
         p = params(limits=DynamicsLimits(accel_max=3.0, decel_max=5.0, speed_max=12.0))
         speeds = predict_leader_speed(p, 11.9)
         assert all(v <= 12.0 for v in speeds)
+
+    @pytest.mark.parametrize("limits", [None, TIGHT_LIMITS], ids=["unbounded", "bounded"])
+    @given(v_now=st.floats(0.0, 40.0), dt=st.sampled_from([0.01, 0.1, 0.5, 1.0]))
+    @settings(max_examples=100)
+    def test_matches_scalar_recursion(self, limits, v_now, dt):
+        p = params(prediction_step=dt, horizon_len=30, limits=limits)
+        expected = []
+        v = v_now
+        for _ in range(p.horizon_len):
+            v = step_speed(p, v, idm_free_accel(v, p))
+            expected.append(v)
+        assert predict_leader_speed(p, v_now) == expected
 
 
 class TestIntegratePosition:
@@ -241,11 +263,13 @@ def follower_case(draw):
 
 
 class TestFollowerEstimateEquivalence:
+    @pytest.mark.parametrize("limits", [None, TIGHT_LIMITS], ids=["unbounded", "bounded"])
+    @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
     @given(case=follower_case())
     @settings(max_examples=120)
-    def test_fast_path_matches_scalar_composition(self, case):
+    def test_fast_path_matches_scalar_composition(self, implicit, limits, case):
         est, tau, own_v, own_r, n_own = case
-        p = params(horizon_len=n_own)
+        p = params(horizon_len=n_own, implicit_solve=implicit, limits=limits)
         own = vstate(r=own_r, v=own_v)
         beacon = Beacon(
             sender=0,
@@ -258,27 +282,35 @@ class TestFollowerEstimateEquivalence:
 
         # scalar composition per horizon transition; the effective delay is
         # the information age as the fast path derives it from "now"
-        eff_tau = now - est.anchor_time
-        v = own.speed
-        r = own.position
-        expected = []
-        dt = p.prediction_step
-        for k in range(1, p.horizon_len + 1):
-            if k <= est.horizon_len:
-                v_adj, r_adj = compensate_delay(est, k, eff_tau, p)
-            else:
-                v_adj = max(0.0, est.speed_at(est.horizon_len))
-                r_adj = est.position_at(est.horizon_len) + v_adj * (
-                    (k - 1 - est.horizon_len) * dt + eff_tau
-                )
-            v_next = predict_follower_speed(v, r, v_adj, r_adj, GAINS, 5.0, 1.5, p)
-            r = r + v * dt
-            v = v_next
-            expected.append(v_next)
+        expected = follower_speeds(
+            own.speed, own.position, est, now - est.anchor_time, GAINS, 5.0, 1.5, p
+        )
         assert fast.speeds == tuple(expected)
         assert fast.positions == tuple(
-            integrate_position(own.position, own.speed, expected, dt)
+            integrate_position(own.position, own.speed, expected, p.prediction_step)
         )
+
+    @pytest.mark.parametrize("limits", [None, TIGHT_LIMITS], ids=["unbounded", "bounded"])
+    @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
+    @pytest.mark.parametrize(
+        "own_r, own_v, target_r",
+        [
+            (math.inf, 10.0, 100.0),
+            (math.nan, 10.0, 100.0),
+            (50.0, math.inf, 100.0),
+            (50.0, 10.0, math.inf),
+        ],
+    )
+    def test_non_finite_input_raises(self, implicit, limits, own_r, own_v, target_r):
+        # The oracle rejects these inputs; the horizon loop must not clamp
+        # them into a finite-looking estimate.
+        p = params(horizon_len=10, implicit_solve=implicit, limits=limits)
+        target = vstate(r=target_r, v=10.0)
+        beacon = Beacon(
+            sender=0, send_time=0.0, state=target, estimate=leader_estimate(0.0, target, p)
+        )
+        with pytest.raises(NumericFault):
+            follower_estimate(0.0, vstate(r=own_r, v=own_v), beacon, GAINS, 1.5, p)
 
     def test_uses_estimate_anchor_age_not_beacon_age(self):
         # Estimate anchored one full step before the beacon: the recursion
@@ -372,45 +404,68 @@ class TestTargetMotionForControl:
 
 
 class TestUpdateEstimates:
+    """The engine's per-vehicle estimate refresh, the simulator's one chain pass."""
+
+    @staticmethod
+    def _vehicle(vid, state, target=None, admitted=False, **est):
+        return _SimVehicle(
+            vid=vid,
+            intersection="x",
+            state=state,
+            spawn_time=0.0,
+            target=target,
+            gains=GAINS if target is not None else None,
+            admitted=admitted,
+            est=EstimatorState(**est),
+        )
+
     def test_leader_at_target_speed_extrapolates_constantly(self):
-        p = params(horizon_len=10)
-        states = {0: EstimatorState()}
-        truth = {0: vstate(r=0.0, v=15.0)}
-        out = update_estimates([0], states, truth, p, {}, 1.5, now=0.0)
-        assert all(abs(v - 15.0) < 1e-12 for v in out[0].speeds)
-        assert states[0].own_estimate is out[0]
+        engine = SimulationEngine(perfect_two_vehicle())
+        leader = self._vehicle(0, vstate(r=0.0, v=15.0))
+        engine._refresh_estimate(leader, 0.0)
+        out = leader.est.own_estimate
+        assert out.horizon_len == engine.params.horizon_len
+        assert all(abs(v - 15.0) < 1e-12 for v in out.speeds)
 
     def test_link_down_holds_previous(self):
-        p = params(horizon_len=3)
+        engine = SimulationEngine(perfect_two_vehicle())
         prev = estimate_from([9.0, 9.5, 10.0], anchor_time=0.0, step=0.1)
-        follower = EstimatorState(own_estimate=prev, link_up=False)
-        leader = EstimatorState()
-        states = {0: leader, 1: follower}
-        truth = {0: vstate(r=30.0, v=10.0), 1: vstate(r=0.0, v=9.2)}
-        out = update_estimates([0, 1], states, truth, p, {1: GAINS}, 1.5, now=0.1)
-        assert out[1].anchor_time == pytest.approx(0.1)
-        assert out[1].speeds == (9.5, 10.0)
+        # The only beacon on hand was consumed by the previous refresh.
+        beacon = Beacon(sender=0, send_time=0.0, state=vstate(r=30.0), estimate=prev)
+        follower = self._vehicle(
+            1, vstate(r=0.0, v=9.2), target=0, admitted=True,
+            own_estimate=prev, last_target_beacon=beacon, refreshed_send_time=0.0,
+        )
+        engine._refresh_estimate(follower, 0.1)
+        out = follower.est.own_estimate
+        assert out.anchor_time == pytest.approx(0.1)
+        assert out.speeds == (9.5, 10.0)
 
-    def test_cold_start_raises(self):
-        p = params(horizon_len=3)
-        states = {0: EstimatorState(), 1: EstimatorState()}
-        truth = {0: vstate(r=30.0, v=10.0), 1: vstate(r=0.0, v=9.0)}
-        with pytest.raises(ColdStart):
-            update_estimates([0, 1], states, truth, p, {1: GAINS}, 1.5, now=0.0)
+    def test_cold_start_falls_back_to_leader_estimate(self):
+        engine = SimulationEngine(perfect_two_vehicle())
+        truth = vstate(r=0.0, v=9.0)
+        expected = leader_estimate(0.0, truth, engine.params)
+        for admitted in (False, True):
+            follower = self._vehicle(1, truth, target=0, admitted=admitted)
+            engine._refresh_estimate(follower, 0.0)
+            assert follower.est.own_estimate.speeds == expected.speeds
 
     def test_linked_follower_consumes_beacon(self):
-        p = params(horizon_len=4)
+        engine = SimulationEngine(perfect_two_vehicle())
         leader_truth = vstate(r=30.0, v=10.0)
-        lead_est = leader_estimate(0.0, leader_truth, p)
+        lead_est = leader_estimate(0.0, leader_truth, engine.params)
         beacon = Beacon(sender=0, send_time=0.0, state=leader_truth, estimate=lead_est)
-        states = {
-            0: EstimatorState(),
-            1: EstimatorState(last_target_beacon=beacon, link_up=True),
-        }
-        truth = {0: leader_truth, 1: vstate(r=5.0, v=10.0)}
-        out = update_estimates([0, 1], states, truth, p, {1: GAINS}, 1.5, now=0.0)
-        expected = follower_estimate(0.0, truth[1], beacon, GAINS, 1.5, p)
-        assert out[1].speeds == expected.speeds
+        truth = vstate(r=5.0, v=10.0)
+        follower = self._vehicle(
+            1, truth, target=0, admitted=True, last_target_beacon=beacon, link_up=True
+        )
+        engine._refresh_estimate(follower, 0.0)
+        expected = follower_estimate(0.0, truth, beacon, GAINS, engine.t_gap, engine.params)
+        assert follower.est.own_estimate.speeds == expected.speeds
+        assert follower.est.refreshed_send_time == 0.0
+        # No newer beacon: the next refresh holds the consumed one's horizon.
+        engine._refresh_estimate(follower, 0.1)
+        assert follower.est.own_estimate.speeds == expected.speeds[1:]
 
 
 def test_idm_free_accel_signs():

@@ -8,7 +8,6 @@ from cavsim.network import (
     Dropped,
     InFlightQueue,
     V2XChannel,
-    deliver_due,
     link_stream,
     transmit,
 )
@@ -92,25 +91,25 @@ class TestQueue:
         q = InFlightQueue()
         q.push(5.03, 1, beacon(sender=0, send_time=5.0))
         q.push(5.01, 1, beacon(sender=2, send_time=5.0))
-        out = deliver_due(q, 5.05)
+        out = [b for _, b in q.pop_due(5.05)]
         assert [b.sender for b in out] == [2, 0]
 
     def test_only_due_entries_pop(self):
         q = InFlightQueue()
         q.push(5.01, 1, beacon(send_time=5.0))
         q.push(5.2, 1, beacon(send_time=5.1))
-        assert len(deliver_due(q, 5.05)) == 1
+        assert len(list(q.pop_due(5.05))) == 1
         assert len(q) == 1
 
     def test_empty_queue(self):
-        assert deliver_due(InFlightQueue(), 10.0) == []
+        assert list(InFlightQueue().pop_due(10.0)) == []
 
     def test_sender_then_send_time_tiebreak(self):
         q = InFlightQueue()
         q.push(5.0, 1, beacon(sender=4, send_time=4.9))
         q.push(5.0, 1, beacon(sender=4, send_time=4.8))
         q.push(5.0, 1, beacon(sender=1, send_time=4.95))
-        out = deliver_due(q, 5.0)
+        out = [b for _, b in q.pop_due(5.0)]
         assert [(b.sender, b.send_time) for b in out] == [(1, 4.95), (4, 4.8), (4, 4.9)]
 
 
