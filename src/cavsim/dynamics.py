@@ -45,9 +45,17 @@ def step_vehicle(
         raise ValueError(f"dt must be > 0, got {dt}")
     if not math.isfinite(accel_cmd):
         raise NumericFault(f"non-finite acceleration command: {accel_cmd}")
-    applied = min(max(accel_cmd, -limits.decel_max), limits.accel_max)
+    applied = accel_cmd
+    if applied < -limits.decel_max:
+        applied = -limits.decel_max
+    elif applied > limits.accel_max:
+        applied = limits.accel_max
     new_position = state.position + state.speed * dt
-    new_speed = min(max(state.speed + applied * dt, 0.0), limits.speed_max)
+    new_speed = state.speed + applied * dt
+    if new_speed < 0.0:
+        new_speed = 0.0
+    elif new_speed > limits.speed_max:
+        new_speed = limits.speed_max
     return VehicleState(
         position=new_position,
         speed=new_speed,

@@ -12,7 +12,10 @@ target's last broadcast horizon instead of live data.
 
 Conventions shared with the plant: forward Euler, positions integrated from
 the pre-update speed, speeds clamped into the actuator envelope
-(``limits=None`` means unbounded). The follower recursion applies the
+(``limits=None`` means unbounded). Clamps are written as ``if x < lo`` /
+``elif x > hi`` branches, which return the same float as
+``min(max(x, lo), hi)`` for every input, NaN and signed zeros included,
+at a fraction of the interpreter cost. The follower recursion applies the
 consensus law to the previous-sample pair of both vehicles, which makes the
 one-step-ahead estimate bit-identical to the plant under zero delay, zero
 loss, and matching steps.
@@ -125,15 +128,22 @@ def predict_leader_speed(params: EstimatorParams, v_now: float) -> list[float]:
     v_target = params.v_target
     dt = params.prediction_step
     limits = params.limits or _UNBOUNDED
-    decel_max = limits.decel_max
+    neg_decel = -limits.decel_max
     accel_max = limits.accel_max
     speed_max = limits.speed_max
     speeds: list[float] = []
     v = v_now
     for _ in range(params.horizon_len):
         accel = a_max * (1.0 - (v / v_target) ** sigma)
-        applied = min(max(accel, -decel_max), accel_max)
-        v = min(max(v + applied * dt, 0.0), speed_max)
+        if accel < neg_decel:
+            accel = neg_decel
+        elif accel > accel_max:
+            accel = accel_max
+        v = v + accel * dt
+        if v < 0.0:
+            v = 0.0
+        elif v > speed_max:
+            v = speed_max
         speeds.append(v)
     return speeds
 
@@ -189,7 +199,8 @@ def _compensated_target_arrays(
     (first-order hold) and clamped at zero. The position is the sample k-1
     position advanced by the compensated speed over the delay. When the
     received horizon is shorter than ours, its final sample is held and
-    dead-reckoned forward. A non-finite result raises NumericFault.
+    dead-reckoned forward. A non-finite final sample or result raises
+    NumericFault.
     """
     n_t = target_est.horizon_len
     samples = np.empty(n_t + 1)
@@ -208,6 +219,9 @@ def _compensated_target_arrays(
     r_adj = pos[:n] + v_adj * tau
     if horizon_len > n_t:
         v_last = samples[n_t]
+        # max() would turn a NaN final speed into 0 m/s.
+        if not math.isfinite(v_last):
+            raise NumericFault("non-finite final sample in the received target horizon")
         r_last = pos[n_t]
         ks = np.arange(n_t + 1, horizon_len + 1, dtype=float)
         v_pad = np.full(horizon_len - n_t, max(0.0, v_last))
@@ -258,24 +272,32 @@ def follower_estimate(
     implicit = params.implicit_solve
     a = alpha * k_gain * dt
     denom = 1.0 + a * (t_gap + gamma)
+    neg_gain = -alpha * k_gain
     limits = params.limits or _UNBOUNDED
-    decel_max = limits.decel_max
+    neg_decel = -limits.decel_max
     accel_max = limits.accel_max
     speed_max = limits.speed_max
     speeds: list[float] = []
     positions: list[float] = []
     v = own.speed
     r = own.position
-    for idx in range(params.horizon_len):
+    for v_t, r_t in zip(v_adj, r_adj):
         if implicit:
-            numer = v - a * (r + v * dt - r_adj[idx] + l_target - gamma * v_adj[idx])
+            numer = v - a * (r + v * dt - r_t + l_target - gamma * v_t)
             accel = (numer / denom - v) / dt
         else:
-            spacing = r - r_adj[idx] + l_target + v * t_gap
-            accel = -alpha * k_gain * (spacing + gamma * (v - v_adj[idx]))
-        applied = min(max(accel, -decel_max), accel_max)
+            spacing = r - r_t + l_target + v * t_gap
+            accel = neg_gain * (spacing + gamma * (v - v_t))
+        if accel < neg_decel:
+            accel = neg_decel
+        elif accel > accel_max:
+            accel = accel_max
         r = r + v * dt
-        v = min(max(v + applied * dt, 0.0), speed_max)
+        v = v + accel * dt
+        if v < 0.0:
+            v = 0.0
+        elif v > speed_max:
+            v = speed_max
         speeds.append(v)
         positions.append(r)
     # A non-finite speed or position stays non-finite along the recursion,

@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import HorizonExhausted
+from .errors import HorizonExhausted, NumericFault
 
 SimTime = float
 VehicleId = int
+
+_INF = math.inf
 
 # Relative tolerance used to snap horizon queries onto exact sample times.
 _GRID_RTOL = 1e-9
@@ -31,8 +33,15 @@ class VehicleState:
     leg: str
 
     def __post_init__(self) -> None:
-        if self.speed < 0.0:
-            raise ValueError(f"speed must be >= 0, got {self.speed}")
+        # One chained comparison per field; NaN fails every comparison.
+        if not 0.0 <= self.speed < _INF:
+            if self.speed < 0.0:
+                raise ValueError(f"speed must be >= 0, got {self.speed}")
+            raise NumericFault(f"non-finite speed {self.speed}")
+        if not -_INF < self.position < _INF:
+            raise NumericFault(f"non-finite position {self.position}")
+        if not -_INF < self.acceleration < _INF:
+            raise NumericFault(f"non-finite acceleration {self.acceleration}")
         if self.length <= 0.0:
             raise ValueError(f"length must be > 0, got {self.length}")
 
@@ -45,7 +54,8 @@ class TrajectoryEstimate:
     k = 1..N; ``positions`` likewise. The anchor samples (``anchor_speed``,
     ``anchor_position``) are the producing vehicle's state at ``anchor_time``
     and serve as the base of both recursions, so interpolation between
-    sample k-1 and k is defined down to k = 1.
+    sample k-1 and k is defined down to k = 1. The anchors must be finite;
+    the samples are not checked here, the estimator checks what it reads.
     """
 
     anchor_time: SimTime
@@ -58,6 +68,10 @@ class TrajectoryEstimate:
     def __post_init__(self) -> None:
         if self.step <= 0.0:
             raise ValueError("step must be > 0")
+        if not -_INF < self.anchor_speed < _INF:
+            raise NumericFault(f"non-finite anchor speed {self.anchor_speed}")
+        if not -_INF < self.anchor_position < _INF:
+            raise NumericFault(f"non-finite anchor position {self.anchor_position}")
         if len(self.speeds) != len(self.positions):
             raise ValueError("speeds and positions must have equal length")
         if not self.speeds:

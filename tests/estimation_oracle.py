@@ -143,7 +143,7 @@ def follower_speeds(
     """A follower's speed horizon composed sample by sample.
 
     Past the end of the target's horizon its final sample is held and
-    dead-reckoned forward.
+    dead-reckoned forward; a non-finite final sample raises NumericFault.
     """
     dt = params.prediction_step
     n_t = target_est.horizon_len
@@ -154,7 +154,10 @@ def follower_speeds(
         if k <= n_t:
             v_adj, r_adj = compensate_delay(target_est, k, tau, params)
         else:
-            v_adj = max(0.0, target_est.speed_at(n_t))
+            v_last = target_est.speed_at(n_t)
+            if not math.isfinite(v_last):
+                raise NumericFault(f"non-finite final target sample {v_last}")
+            v_adj = max(0.0, v_last)
             r_adj = target_est.position_at(n_t) + v_adj * ((k - 1 - n_t) * dt + tau)
         v_next = predict_follower_speed(v, r, v_adj, r_adj, gains, l_target, t_gap, params)
         r = r + v * dt

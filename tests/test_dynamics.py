@@ -1,7 +1,8 @@
 import math
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cavsim.dynamics import DynamicsLimits, step_vehicle
 from cavsim.errors import NumericFault
@@ -64,6 +65,63 @@ class TestStepVehicle:
             cur = step_vehicle(cur, 0.0, 0.1, LIMITS)
         assert cur.position == pytest.approx(k * v * 0.1, abs=1e-9)
         assert cur.speed == v
+
+
+def branch_clamp(x, lo, hi):
+    """The clamp form that the plant and the horizon loops write inline."""
+    if x < lo:
+        x = lo
+    elif x > hi:
+        x = hi
+    return x
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+SPECIAL_FLOATS = st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308]
+)
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | SPECIAL_FLOATS
+
+
+class TestBranchClamp:
+    @given(x=ANY_FLOAT, lo=ANY_FLOAT, hi=ANY_FLOAT)
+    @settings(max_examples=2000)
+    @example(x=-0.0, lo=0.0, hi=1.0)
+    @example(x=0.0, lo=-0.0, hi=0.0)
+    @example(x=math.nan, lo=0.0, hi=1.0)
+    @example(x=math.inf, lo=-5.0, hi=3.0)
+    @example(x=-math.inf, lo=0.0, hi=math.inf)
+    @example(x=5e-324, lo=0.0, hi=5e-324)
+    @example(x=-5e-324, lo=-0.0, hi=20.0)
+    def test_equals_min_max_bit_for_bit(self, x, lo, hi):
+        # Every clamp in cavsim has lo <= hi (-decel_max < accel_max and
+        # 0 < speed_max); only an inverted interval tells the forms apart.
+        assume(not hi < lo)
+        assert bits(branch_clamp(x, lo, hi)) == bits(min(max(x, lo), hi))
+
+    @given(
+        v=st.floats(0.0, 25.0) | st.sampled_from([0.0, 5e-324, 20.0]),
+        cmd=st.floats(-50.0, 50.0) | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 3.0, -5.0]),
+        dt=st.sampled_from([0.01, 0.02, 0.1, 1.0]),
+    )
+    @settings(max_examples=500)
+    def test_plant_matches_min_max_form(self, v, cmd, dt):
+        out = step_vehicle(state(r=3.0, v=v), cmd, dt, LIMITS)
+        applied = min(max(cmd, -LIMITS.decel_max), LIMITS.accel_max)
+        speed = min(max(v + applied * dt, 0.0), LIMITS.speed_max)
+        assert bits(out.acceleration) == bits(applied)
+        assert bits(out.speed) == bits(speed)
+        assert bits(out.position) == bits(3.0 + v * dt)
+
+
+def test_position_overflow_raises_numeric_fault():
+    # The plant's new state rejects a non-finite position, so an overflow
+    # ends a run with exit code 3 like any other numeric fault.
+    with pytest.raises(NumericFault):
+        step_vehicle(state(r=1.7e308, v=20.0), 0.0, 1e307, LIMITS)
 
 
 def test_limits_must_be_positive():

@@ -1,5 +1,6 @@
 import logging
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,8 +32,20 @@ from estimation_oracle import (
 
 GAINS = ControlGains(k=0.5, gamma=0.8, alpha=1)
 # Tight enough that both acceleration clamps and the speed cap bind in the
-# randomized cases below.
+# randomized follower cases below.
 TIGHT_LIMITS = DynamicsLimits(accel_max=1.0, decel_max=2.0, speed_max=18.0)
+# Below the leader model's a_max and above its v_target, so the leader loop
+# saturates acceleration, deceleration and speed too (pinned in
+# test_saturating_limits_bind).
+SATURATING = DynamicsLimits(accel_max=0.2, decel_max=0.3, speed_max=18.0)
+LIMIT_CASES = pytest.mark.parametrize(
+    "limits", [None, TIGHT_LIMITS, SATURATING], ids=["unbounded", "bounded", "saturating"]
+)
+
+
+def bits(values):
+    """The IEEE-754 bytes of a float sequence, so -0.0 and NaN compare exactly."""
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 def params(**kw):
@@ -43,6 +56,14 @@ def params(**kw):
 
 def vstate(r=0.0, v=10.0, length=5.0):
     return VehicleState(position=r, speed=v, acceleration=0.0, length=length, leg="a")
+
+
+def unchecked(cls, **fields):
+    """An instance of a frozen dataclass built without ``__post_init__``."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def estimate_from(speeds, anchor_time=0.0, step=0.1, anchor_speed=None, anchor_position=0.0):
@@ -56,6 +77,16 @@ def estimate_from(speeds, anchor_time=0.0, step=0.1, anchor_speed=None, anchor_p
         speeds=tuple(speeds),
         positions=tuple(positions),
     )
+
+
+def leader_oracle(p, v_now):
+    """The leader horizon stepped through the oracle's min/max clamps."""
+    expected = []
+    v = v_now
+    for _ in range(p.horizon_len):
+        v = step_speed(p, v, idm_free_accel(v, p))
+        expected.append(v)
+    return expected
 
 
 class TestLeaderPrediction:
@@ -109,17 +140,12 @@ class TestLeaderPrediction:
         speeds = predict_leader_speed(p, 11.9)
         assert all(v <= 12.0 for v in speeds)
 
-    @pytest.mark.parametrize("limits", [None, TIGHT_LIMITS], ids=["unbounded", "bounded"])
+    @LIMIT_CASES
     @given(v_now=st.floats(0.0, 40.0), dt=st.sampled_from([0.01, 0.1, 0.5, 1.0]))
     @settings(max_examples=100)
     def test_matches_scalar_recursion(self, limits, v_now, dt):
         p = params(prediction_step=dt, horizon_len=30, limits=limits)
-        expected = []
-        v = v_now
-        for _ in range(p.horizon_len):
-            v = step_speed(p, v, idm_free_accel(v, p))
-            expected.append(v)
-        assert predict_leader_speed(p, v_now) == expected
+        assert bits(predict_leader_speed(p, v_now)) == bits(leader_oracle(p, v_now))
 
 
 class TestIntegratePosition:
@@ -263,7 +289,7 @@ def follower_case(draw):
 
 
 class TestFollowerEstimateEquivalence:
-    @pytest.mark.parametrize("limits", [None, TIGHT_LIMITS], ids=["unbounded", "bounded"])
+    @LIMIT_CASES
     @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
     @given(case=follower_case())
     @settings(max_examples=120)
@@ -285,8 +311,8 @@ class TestFollowerEstimateEquivalence:
         expected = follower_speeds(
             own.speed, own.position, est, now - est.anchor_time, GAINS, 5.0, 1.5, p
         )
-        assert fast.speeds == tuple(expected)
-        assert fast.positions == tuple(
+        assert bits(fast.speeds) == bits(expected)
+        assert bits(fast.positions) == bits(
             integrate_position(own.position, own.speed, expected, p.prediction_step)
         )
 
@@ -303,14 +329,64 @@ class TestFollowerEstimateEquivalence:
     )
     def test_non_finite_input_raises(self, implicit, limits, own_r, own_v, target_r):
         # The oracle rejects these inputs; the horizon loop must not clamp
-        # them into a finite-looking estimate.
+        # them into a finite-looking estimate. The constructors reject them
+        # too, so they are built unchecked to reach the loop's own guard.
         p = params(horizon_len=10, implicit_solve=implicit, limits=limits)
-        target = vstate(r=target_r, v=10.0)
-        beacon = Beacon(
-            sender=0, send_time=0.0, state=target, estimate=leader_estimate(0.0, target, p)
+        est = leader_estimate(0.0, vstate(r=0.0, v=10.0), p)
+        est = unchecked(
+            TrajectoryEstimate,
+            **{
+                **vars(est),
+                "anchor_position": target_r,
+                "positions": tuple(target_r + x for x in est.positions),
+            },
         )
+        target = unchecked(VehicleState, **{**vars(vstate(v=10.0)), "position": target_r})
+        beacon = Beacon(sender=0, send_time=0.0, state=target, estimate=est)
+        own = unchecked(VehicleState, **{**vars(vstate()), "position": own_r, "speed": own_v})
         with pytest.raises(NumericFault):
-            follower_estimate(0.0, vstate(r=own_r, v=own_v), beacon, GAINS, 1.5, p)
+            follower_estimate(0.0, own, beacon, GAINS, 1.5, p)
+
+    @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
+    def test_saturating_limits_bind(self, implicit):
+        # Each clamp of both loops is reached, and the loops still match the
+        # oracle's min/max form bit for bit.
+        p = params(horizon_len=40, implicit_solve=implicit, limits=SATURATING)
+        dt = p.prediction_step
+        up, down, capped = (predict_leader_speed(p, v) for v in (0.0, 17.0, 30.0))
+        assert up[0] == SATURATING.accel_max * dt  # unclamped: 0.073
+        assert down[0] == 17.0 - SATURATING.decel_max * dt  # unclamped: 16.953
+        assert capped[0] == SATURATING.speed_max
+        for v_now, horizon in ((0.0, up), (17.0, down), (30.0, capped)):
+            assert bits(horizon) == bits(leader_oracle(p, v_now))
+
+        def follow(own_r, own_v, target_r, target_v):
+            est = estimate_from([target_v] * 40, anchor_speed=target_v, anchor_position=target_r)
+            beacon = Beacon(sender=0, send_time=0.0, state=vstate(r=target_r, v=target_v),
+                            estimate=est)
+            fast = follower_estimate(0.0, vstate(r=own_r, v=own_v), beacon, GAINS, 1.5, p)
+            expected = follower_speeds(own_v, own_r, est, 0.0, GAINS, 5.0, 1.5, p)
+            assert bits(fast.speeds) == bits(expected)
+            return fast.speeds
+
+        assert follow(0.0, 5.0, 100.0, 15.0)[0] == 5.0 + SATURATING.accel_max * dt
+        assert follow(0.0, 17.0, 20.0, 5.0)[0] == 17.0 - SATURATING.decel_max * dt
+        assert follow(0.0, 20.0, 60.0, 20.0)[0] == SATURATING.speed_max
+
+    @pytest.mark.parametrize("limits", [None, TIGHT_LIMITS], ids=["unbounded", "bounded"])
+    @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
+    @pytest.mark.parametrize("v_last", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_final_target_sample_raises(self, implicit, limits, v_last):
+        # The final speed never enters the target's positions, so only the
+        # padding past the end of a short received horizon reads it.
+        est = estimate_from([10.0, 10.0, v_last], anchor_speed=10.0, anchor_position=50.0)
+        assert all(math.isfinite(r) for r in est.positions)
+        p = params(horizon_len=6, implicit_solve=implicit, limits=limits)
+        beacon = Beacon(sender=0, send_time=0.0, state=vstate(r=50.0, v=10.0), estimate=est)
+        with pytest.raises(NumericFault):
+            follower_estimate(0.0, vstate(r=20.0, v=10.0), beacon, GAINS, 1.5, p)
+        with pytest.raises(NumericFault):
+            follower_speeds(10.0, 20.0, est, 0.0, GAINS, 5.0, 1.5, p)
 
     def test_uses_estimate_anchor_age_not_beacon_age(self):
         # Estimate anchored one full step before the beacon: the recursion

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from cavsim.errors import HorizonExhausted
+from cavsim.errors import HorizonExhausted, NumericFault
 from cavsim.types import Beacon, TrajectoryEstimate, VehicleState, lerp_trajectory
 
 
@@ -91,6 +91,57 @@ class TestInvariants:
     def test_vehicle_state_rejects_zero_length(self):
         with pytest.raises(ValueError):
             VehicleState(position=0.0, speed=1.0, acceleration=0.0, length=0.0, leg="a")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("position", math.nan),
+            ("position", math.inf),
+            ("position", -math.inf),
+            ("speed", math.nan),
+            ("speed", math.inf),
+            ("acceleration", math.nan),
+            ("acceleration", -math.inf),
+        ],
+    )
+    def test_vehicle_state_rejects_non_finite(self, field, value):
+        fields = dict(position=0.0, speed=1.0, acceleration=0.0, length=5.0, leg="a")
+        fields[field] = value
+        with pytest.raises(NumericFault):
+            VehicleState(**fields)
+
+    @pytest.mark.parametrize("speed", [-1.0, -5e-324, -math.inf])
+    def test_vehicle_state_negative_speed_is_value_error(self, speed):
+        with pytest.raises(ValueError):
+            VehicleState(position=0.0, speed=speed, acceleration=0.0, length=5.0, leg="a")
+
+    @pytest.mark.parametrize("length", [0.0, -0.0, -3.0])
+    def test_vehicle_state_non_positive_length_is_value_error(self, length):
+        with pytest.raises(ValueError):
+            VehicleState(position=0.0, speed=1.0, acceleration=0.0, length=length, leg="a")
+
+    def test_vehicle_state_accepts_zero_speed_and_negative_position(self):
+        VehicleState(position=-1e300, speed=0.0, acceleration=-5.0, length=5.0, leg="a")
+        VehicleState(position=0.0, speed=-0.0, acceleration=0.0, length=5.0, leg="a")
+
+    @pytest.mark.parametrize("field", ["anchor_speed", "anchor_position"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_estimate_rejects_non_finite_anchor(self, field, value):
+        fields = dict(
+            anchor_time=0.0, step=0.1, anchor_speed=1.0, anchor_position=0.0,
+            speeds=(1.0,), positions=(0.1,),
+        )
+        fields[field] = value
+        with pytest.raises(NumericFault):
+            TrajectoryEstimate(**fields)
+
+    def test_estimate_samples_are_not_checked(self):
+        # Only the anchors are checked, never per sample; the estimator
+        # checks the samples it reads.
+        TrajectoryEstimate(
+            anchor_time=0.0, step=0.1, anchor_speed=1.0, anchor_position=0.0,
+            speeds=(math.nan,), positions=(math.inf,),
+        )
 
     def test_estimate_rejects_mismatched_arrays(self):
         with pytest.raises(ValueError):
