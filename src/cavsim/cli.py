@@ -15,12 +15,12 @@ environment variable (off|info|debug) controls diagnostic verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
 import sys
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .config import load_scenario, normalized_dump
 from .engine import (
@@ -59,29 +59,69 @@ def _setup_logging() -> None:
     )
 
 
-def _fmt(value) -> str:
-    """Fixed 6-decimal formatting for reproducible golden files."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
+# Per-type %-conversions: floats with six fixed decimals, ints and bools as
+# str() writes them, None as an empty field (``%.0s`` keeps no character of
+# "None"), and str fields as given, after ``_quote``.
+_CONVERSIONS = {float: "%.6f", int: "%s", bool: "%s", type(None): "%.0s", str: "%s"}
+
+
+def _quote(text: str) -> str:
+    """csv.writer's QUOTE_MINIMAL form of one field."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _row_form(types: tuple, width: int) -> tuple[str, tuple[int, ...]]:
+    """(%-template, positions of the str fields) for rows of these field types.
+
+    A row must have one field per column and only the types in
+    ``_CONVERSIONS``; anything else raises rather than being written in
+    some other form.
+    """
+    if len(types) != width:
+        raise ValueError(f"row has {len(types)} fields for {width} columns")
+    try:
+        template = ",".join([_CONVERSIONS[t] for t in types]) + "\r\n"
+    except KeyError as exc:
+        raise TypeError(f"cannot write a {exc.args[0].__name__} to a CSV field") from None
+    return template, tuple(i for i, t in enumerate(types) if t is str)
+
+
+def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as CSV: comma-separated, CRLF line ends.
+
+    Each row is formatted by a %-template cached per tuple of its field
+    types and written as it is produced, so the file is never held in
+    memory. At least two columns are required: a one-column row whose field
+    is empty would be a blank line, which CSV readers skip.
+    """
+    if len(columns) < 2:
+        raise ValueError("a CSV needs at least two columns")
+    width = len(columns)
+    forms: dict = {}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write = fh.write
+        write(",".join(map(_quote, columns)) + "\r\n")
+        for row in rows:
+            types = tuple(map(type, row))
+            try:
+                template, strings = forms[types]
+            except KeyError:
+                template, strings = forms[types] = _row_form(types, width)
+            if strings:
+                row = list(row)
+                for i in strings:
+                    row[i] = _quote(row[i])
+            write(template % tuple(row))
 
 
 def write_trajectory_csv(path: Path, result: RunResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for row in result.trajectory:
-            writer.writerow([_fmt(v) for v in row])
+    _write_csv(path, TRAJECTORY_COLUMNS, result.trajectory)
 
 
 def write_metrics_csv(path: Path, result: RunResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        for row in result.metrics:
-            writer.writerow([_fmt(v) for v in row])
+    _write_csv(path, METRICS_COLUMNS, result.metrics)
 
 
 def write_summary_json(path: Path, result: RunResult) -> None:
@@ -133,11 +173,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for dt_pred, result in results.items():
         _write_run_outputs(out_dir / f"dt_{dt_pred:.6f}", result)
-    with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in SWEEP_COLUMNS])
+    _write_csv(
+        out_dir / "sweep.csv",
+        SWEEP_COLUMNS,
+        (tuple(row[col] for col in SWEEP_COLUMNS) for row in rows),
+    )
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Any, Mapping
 
 import yaml
@@ -65,6 +66,31 @@ def _require_keys(section: Mapping[str, Any], allowed: set[str], path: str) -> N
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
+def _number(value: Any, path: str, kind: type = float):
+    """``kind(value)``, or a ConfigError naming ``path`` unless it is a finite number.
+
+    A bool is not a number here, and an int key takes no fractional part.
+    """
+    try:
+        number = kind(value)
+        valid = (
+            math.isfinite(number)
+            and not isinstance(value, bool)
+            and not (isinstance(value, float) and number != value)
+        )
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        expected = "integer" if kind is int else "number"
+        raise ConfigError(f"{path}: expected a finite {expected}, got {value!r}")
+    return number
+
+
+def _field(section: Mapping[str, Any], key: str, default: Any, path: str, kind: type = float):
+    """Numeric key ``key`` of the section at ``path``, read through ``_number``."""
+    return _number(section.get(key, default), f"{path}.{key}", kind)
+
+
 def _build(cls, path: str, **kwargs):
     try:
         return cls(**kwargs)
@@ -77,10 +103,10 @@ def _parse_engine(raw: Mapping[str, Any]) -> EngineConfig:
     return _build(
         EngineConfig,
         "engine",
-        sim_step=float(raw.get("sim_step_s", 0.1)),
-        duration=float(raw.get("duration_s", 30.0)),
-        seed=int(raw.get("seed", 42)),
-        record_every=int(raw.get("record_every", 1)),
+        sim_step=_field(raw, "sim_step_s", 0.1, "engine"),
+        duration=_field(raw, "duration_s", 30.0, "engine"),
+        seed=_field(raw, "seed", 42, "engine", int),
+        record_every=_field(raw, "record_every", 1, "engine", int),
     )
 
 
@@ -93,27 +119,34 @@ def _parse_channel(raw: Mapping[str, Any]) -> ChannelModel:
     for i, win in enumerate(windows):
         if not isinstance(win, (list, tuple)) or len(win) != 2:
             raise ConfigError(f"channel.nlos_windows[{i}]: expected [start_s, end_s]")
-        parsed_windows.append((float(win[0]), float(win[1])))
+        parsed_windows.append(
+            (
+                _number(win[0], f"channel.nlos_windows[{i}][0]"),
+                _number(win[1], f"channel.nlos_windows[{i}][1]"),
+            )
+        )
     burst = None
     if raw.get("burst") is not None:
         _require_keys(raw["burst"], _BURST_KEYS, "channel.burst")
         burst = _build(
             BurstLossModel,
             "channel.burst",
-            p_good_to_bad=float(raw["burst"].get("p_good_to_bad", 0.0)),
-            p_bad_to_good=float(raw["burst"].get("p_bad_to_good", 1.0)),
+            p_good_to_bad=_field(raw["burst"], "p_good_to_bad", 0.0, "channel.burst"),
+            p_bad_to_good=_field(raw["burst"], "p_bad_to_good", 1.0, "channel.burst"),
         )
     impaired = raw.get("impaired_vehicles")
     if impaired is not None:
         if not isinstance(impaired, list):
             raise ConfigError("channel.impaired_vehicles: expected a list of vehicle ids")
-        impaired = tuple(int(v) for v in impaired)
+        impaired = tuple(
+            _number(v, f"channel.impaired_vehicles[{n}]", int) for n, v in enumerate(impaired)
+        )
     return _build(
         ChannelModel,
         "channel",
-        delay_mean=float(raw.get("delay_mean_s", 0.040)),
-        delay_std=float(raw.get("delay_std_s", 0.0259)),
-        loss_prob=float(raw.get("loss_prob", 0.1)),
+        delay_mean=_field(raw, "delay_mean_s", 0.040, "channel"),
+        delay_std=_field(raw, "delay_std_s", 0.0259, "channel"),
+        loss_prob=_field(raw, "loss_prob", 0.1, "channel"),
         nlos_windows=tuple(parsed_windows),
         burst=burst,
         impaired_vehicles=impaired,
@@ -125,38 +158,52 @@ def _parse_estimator(raw: Mapping[str, Any]) -> EstimatorSettings:
     return _build(
         EstimatorSettings,
         "estimator",
-        prediction_step=float(raw.get("prediction_step_s", 0.1)),
-        horizon_s=float(raw.get("horizon_s", 5.0)),
-        a_max=float(raw.get("a_max", 0.73)),
-        sigma=float(raw.get("sigma", 4.0)),
-        v_target=float(raw.get("v_target", 15.0)),
+        prediction_step=_field(raw, "prediction_step_s", 0.1, "estimator"),
+        horizon_s=_field(raw, "horizon_s", 5.0, "estimator"),
+        a_max=_field(raw, "a_max", 0.73, "estimator"),
+        sigma=_field(raw, "sigma", 4.0, "estimator"),
+        v_target=_field(raw, "v_target", 15.0, "estimator"),
         implicit_solve=bool(raw.get("implicit_solve", False)),
     )
 
 
 def _parse_gain_table(raw: Mapping[str, Any]) -> GainTable:
-    _require_keys(raw, _GAIN_TABLE_KEYS, "control.gain_table")
+    path = "control.gain_table"
+    _require_keys(raw, _GAIN_TABLE_KEYS, path)
+
+    def edges(key: str) -> tuple[float, ...]:
+        values = raw.get(key, [0.0])
+        if not isinstance(values, list):
+            raise ConfigError(f"{path}.{key}: expected a list of numbers")
+        return tuple(_number(e, f"{path}.{key}[{n}]") for n, e in enumerate(values))
+
+    def gains(pair: Any, at: str) -> tuple[float, float]:
+        return _number(pair[0], f"{at}[0]"), _number(pair[1], f"{at}[1]")
+
     try:
         entries = tuple(
-            tuple(tuple((float(pair[0]), float(pair[1])) for pair in row) for row in plane)
-            for plane in raw["entries"]
+            tuple(
+                tuple(gains(pair, f"{path}.entries[{p}][{r}][{c}]") for c, pair in enumerate(row))
+                for r, row in enumerate(plane)
+            )
+            for p, plane in enumerate(raw["entries"])
         )
     except (KeyError, IndexError, TypeError) as exc:
-        raise ConfigError(f"control.gain_table.entries: malformed ({exc})") from exc
+        raise ConfigError(f"{path}.entries: malformed ({exc})") from exc
     return _build(
         GainTable,
-        "control.gain_table",
-        v_i_edges=tuple(float(e) for e in raw.get("v_i_edges", [0.0])),
-        v_j_edges=tuple(float(e) for e in raw.get("v_j_edges", [0.0])),
-        headway_edges=tuple(float(e) for e in raw.get("headway_edges", [0.0])),
+        path,
+        v_i_edges=edges("v_i_edges"),
+        v_j_edges=edges("v_j_edges"),
+        headway_edges=edges("headway_edges"),
         entries=entries,
     )
 
 
 def _parse_control(raw: Mapping[str, Any]) -> ControlConfig:
     _require_keys(raw, _CONTROL_KEYS, "control")
-    k = float(raw.get("k", 0.5))
-    gamma = float(raw.get("gamma", 0.8))
+    k = _field(raw, "k", 0.5, "control")
+    gamma = _field(raw, "gamma", 0.8, "control")
     if raw.get("gain_table") is not None:
         table = _parse_gain_table(raw["gain_table"])
     else:
@@ -164,7 +211,7 @@ def _parse_control(raw: Mapping[str, Any]) -> ControlConfig:
     return _build(
         ControlConfig,
         "control",
-        time_gap=float(raw.get("time_gap_s", 1.5)),
+        time_gap=_field(raw, "time_gap_s", 1.5, "control"),
         gain_table=table,
     )
 
@@ -174,9 +221,9 @@ def _parse_dynamics(raw: Mapping[str, Any]) -> DynamicsLimits:
     return _build(
         DynamicsLimits,
         "dynamics",
-        accel_max=float(raw.get("accel_max", 3.0)),
-        decel_max=float(raw.get("decel_max", 5.0)),
-        speed_max=float(raw.get("speed_max", 20.0)),
+        accel_max=_field(raw, "accel_max", 3.0, "dynamics"),
+        decel_max=_field(raw, "decel_max", 5.0, "dynamics"),
+        speed_max=_field(raw, "speed_max", 20.0, "dynamics"),
     )
 
 
@@ -198,7 +245,7 @@ def _parse_intersections(raw: Any) -> tuple[IntersectionSpec, ...]:
                     LegSpec,
                     f"{path}.legs[{j}]",
                     id=str(leg.get("id", j)),
-                    approach_length=float(leg.get("approach_length_m", 200.0)),
+                    approach_length=_field(leg, "approach_length_m", 200.0, f"{path}.legs[{j}]"),
                 )
             )
         specs.append(
@@ -207,8 +254,8 @@ def _parse_intersections(raw: Any) -> tuple[IntersectionSpec, ...]:
                 path,
                 id=str(item.get("id", i)),
                 legs=tuple(legs),
-                control_zone_radius=float(item.get("control_zone_radius_m", 150.0)),
-                conflict_zone_length=float(item.get("conflict_zone_length_m", 12.0)),
+                control_zone_radius=_field(item, "control_zone_radius_m", 150.0, path),
+                conflict_zone_length=_field(item, "conflict_zone_length_m", 12.0, path),
             )
         )
     return tuple(specs)
@@ -224,12 +271,12 @@ def _parse_spawns(raw: Mapping[str, Any], default_intersection: str) -> SpawnPla
             _build(
                 SpawnEvent,
                 path,
-                time=float(item.get("time_s", 0.0)),
+                time=_field(item, "time_s", 0.0, path),
                 intersection=str(item.get("intersection", default_intersection)),
                 leg=str(item["leg"]) if "leg" in item else _missing(path, "leg"),
-                speed=float(item.get("speed_mps", 10.0)),
-                length=float(item.get("length_m", 5.0)),
-                start_offset=float(item.get("start_offset_m", 0.0)),
+                speed=_field(item, "speed_mps", 10.0, path),
+                length=_field(item, "length_m", 5.0, path),
+                start_offset=_field(item, "start_offset_m", 0.0, path),
             )
         )
     random_spec = None
@@ -240,18 +287,22 @@ def _parse_spawns(raw: Mapping[str, Any], default_intersection: str) -> SpawnPla
         random_spec = _build(
             RandomSpawnSpec,
             "spawns.random",
-            rate_per_leg=float(rr.get("rate_per_leg", 0.1)),
-            speed_min=float(rr.get("speed_min_mps", 8.0)),
-            speed_max=float(rr.get("speed_max_mps", 14.0)),
-            length=float(rr.get("length_m", 5.0)),
-            max_vehicles=int(max_vehicles) if max_vehicles is not None else None,
+            rate_per_leg=_field(rr, "rate_per_leg", 0.1, "spawns.random"),
+            speed_min=_field(rr, "speed_min_mps", 8.0, "spawns.random"),
+            speed_max=_field(rr, "speed_max_mps", 14.0, "spawns.random"),
+            length=_field(rr, "length_m", 5.0, "spawns.random"),
+            max_vehicles=(
+                _number(max_vehicles, "spawns.random.max_vehicles", int)
+                if max_vehicles is not None
+                else None
+            ),
         )
     return _build(
         SpawnPlan,
         "spawns",
         events=tuple(events),
         random=random_spec,
-        min_spawn_gap=float(raw.get("min_spawn_gap_m", 10.0)),
+        min_spawn_gap=_field(raw, "min_spawn_gap_m", 10.0, "spawns"),
     )
 
 

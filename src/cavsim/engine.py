@@ -453,26 +453,24 @@ class SimulationEngine:
                     (now, violation.kind, violation.vehicle_a, violation.vehicle_b, violation.detail)
                 )
         for vid, veh in self.vehicles.items():
-            spec = self.intersections[veh.intersection]
-            in_zone = veh.entry_time is not None and not veh.crossed
-            if in_zone:
-                veh.min_speed = min(veh.min_speed, veh.state.speed)
-                if veh.state.speed < FULL_STOP_SPEED:
+            state = veh.state
+            if veh.entry_time is not None and not veh.crossed:
+                veh.min_speed = min(veh.min_speed, state.speed)
+                if state.speed < FULL_STOP_SPEED:
                     veh.full_stopped = True
+            link_up = int(veh.est.link_up)
             err = None
-            speed_err = None
             if veh.view_position is not None and veh.target is not None:
                 target_state = self.vehicles[veh.target].state
                 err = veh.view_position - target_state.position
-                speed_err = veh.view_speed - target_state.speed
                 result.metrics.append(
                     (
                         now,
                         vid,
                         veh.target,
                         err,
-                        speed_err,
-                        int(veh.est.link_up),
+                        veh.view_speed - target_state.speed,
+                        link_up,
                         int(veh.est.horizon_exhausted),
                     )
                 )
@@ -481,13 +479,13 @@ class SimulationEngine:
                     (
                         now,
                         vid,
-                        veh.state.leg,
-                        veh.state.position,
-                        veh.state.speed,
-                        veh.state.acceleration,
+                        state.leg,
+                        state.position,
+                        state.speed,
+                        state.acceleration,
                         veh.view_position,
                         err,
-                        int(veh.est.link_up),
+                        link_up,
                     )
                 )
 

@@ -165,9 +165,13 @@ class InFlightQueue:
         )
         heapq.heappush(self._heap, entry)
 
+    def has_due(self, now: SimTime) -> bool:
+        """Whether an entry is due at or before ``now``."""
+        return bool(self._heap) and self._heap[0].sort_key[0] <= now
+
     def pop_due(self, now: SimTime) -> Iterator[tuple[VehicleId, Beacon]]:
         """Remove and yield all entries due at or before ``now``, in order."""
-        while self._heap and self._heap[0].sort_key[0] <= now:
+        while self.has_due(now):
             entry = heapq.heappop(self._heap)
             yield entry.receiver, entry.beacon
 
@@ -208,7 +212,10 @@ class V2XChannel:
 
         Entries due for other receivers stay queued but are buffered once
         popped, so repeated calls within a step remain cheap and ordered.
+        Most calls find nothing due and nothing buffered, and return at once.
         """
+        if receiver not in self._pending and not self.queue.has_due(now):
+            return {}
         for rcv, beacon in self.queue.pop_due(now):
             bucket = self._pending.setdefault(rcv, {})
             held = bucket.get(beacon.sender)

@@ -204,8 +204,9 @@ def safety_check(
     the interval of ``conflict_zone_length`` centred on the crossing point.
     """
     violations: list[SafetyViolation] = []
+    ordered = sorted(states.items())
     by_leg: dict[str, list[tuple[float, VehicleId]]] = {}
-    for vid, st in sorted(states.items()):
+    for vid, st in ordered:
         by_leg.setdefault(st.leg, []).append((st.position, vid))
     for leg_vehicles in by_leg.values():
         leg_vehicles.sort()
@@ -222,7 +223,7 @@ def safety_check(
     zone_hi = spec.crossing_coord + half
     occupants = [
         (vid, st)
-        for vid, st in sorted(states.items())
+        for vid, st in ordered
         if st.position - st.length <= zone_hi and st.position >= zone_lo
     ]
     for i, (vid_a, st_a) in enumerate(occupants):

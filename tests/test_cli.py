@@ -1,8 +1,10 @@
 import json
+import math
 import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
 
 from cavsim.cli import main
 from cavsim.config import load_scenario, parse_scenario
@@ -194,3 +196,88 @@ class TestCliCommands:
         assert first[0] == "0.000000"
         # six fixed decimals on float columns
         assert len(first[3].split(".")[1]) == 6
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+NON_FINITE_CASES = [
+    (("dynamics", "accel_max"), math.nan),
+    (("dynamics", "decel_max"), -math.inf),
+    (("control", "time_gap_s"), math.nan),
+    (("control", "k"), math.nan),
+    (("estimator", "horizon_s"), math.nan),
+    (("estimator", "v_target"), math.inf),
+    (("channel", "delay_mean_s"), math.nan),
+    (("engine", "duration_s"), math.inf),
+    (("engine", "seed"), math.nan),
+    (("intersections", 0, "control_zone_radius_m"), math.nan),
+    (("intersections", 0, "legs", 0, "approach_length_m"), math.nan),
+    (("spawns", "random", "rate_per_leg"), math.inf),
+    (("spawns", "min_spawn_gap_m"), math.nan),
+]
+
+
+def config_path(keys) -> str:
+    text = ""
+    for key in keys:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}"
+    return text.lstrip(".")
+
+
+def write_with(tmp_path: Path, keys, value) -> Path:
+    doc = yaml.safe_load((SCENARIOS / "nominal_intersection.yaml").read_text(encoding="utf-8"))
+    node = doc
+    for key in keys[:-1]:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    node[keys[-1]] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return path
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize(
+        "keys, value", NON_FINITE_CASES, ids=[config_path(k) for k, _ in NON_FINITE_CASES]
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_exit_2_naming_the_path(self, tmp_path, capsys, keys, value, command):
+        cfg = write_with(tmp_path, keys, value)
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {config_path(keys)}: " in err
+        assert not (tmp_path / "out").exists()
+
+    def test_nlos_window_and_gain_entry_paths(self):
+        with pytest.raises(ConfigError, match=r"channel\.nlos_windows\[1\]\[0\]"):
+            parse_scenario({"channel": {"nlos_windows": [[1.0, 2.0], [math.nan, 5.0]]}})
+        table = {"entries": [[[[0.5, 0.8], [0.3, math.inf]]]], "headway_edges": [0.0, 50.0]}
+        with pytest.raises(ConfigError, match=r"control\.gain_table\.entries\[0\]\[0\]\[1\]\[1\]"):
+            parse_scenario({"control": {"gain_table": table}})
+        with pytest.raises(ConfigError, match=r"control\.gain_table\.headway_edges\[1\]"):
+            parse_scenario(
+                {"control": {"gain_table": {"entries": [[[[0.5, 0.8]]]], "headway_edges": [0.0, "x"]}}}
+            )
+
+    def test_non_numeric_value_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"engine\.duration_s: expected a finite number"):
+            parse_scenario({"engine": {"duration_s": "long"}})
+
+    @pytest.mark.parametrize(
+        "section, key, value, expected",
+        [
+            ("engine", "record_every", 2.7, "integer"),
+            ("engine", "seed", 2.7, "integer"),
+            ("engine", "seed", True, "integer"),
+            ("engine", "duration_s", True, "number"),
+            ("dynamics", "accel_max", False, "number"),
+        ],
+    )
+    def test_bools_and_fractional_ints_are_config_errors(self, section, key, value, expected):
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: expected a finite {expected}"):
+            parse_scenario({section: {key: value}})
+
+    def test_integral_float_is_an_int(self):
+        assert parse_scenario({"engine": {"record_every": 2.0}}).engine.record_every == 2

@@ -15,6 +15,17 @@ def state(r=0.0, v=10.0, a=0.0):
     return VehicleState(position=r, speed=v, acceleration=a, length=5.0, leg="a")
 
 
+class TestDynamicsLimits:
+    @pytest.mark.parametrize("field", ["accel_max", "decel_max", "speed_max"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_non_positive_or_nan_rejected(self, field, value):
+        with pytest.raises(ValueError, match="strictly positive"):
+            DynamicsLimits(**{field: value})
+
+    def test_unbounded_limits_allowed(self):
+        DynamicsLimits(math.inf, math.inf, math.inf)
+
+
 class TestStepVehicle:
     def test_constant_speed(self):
         out = step_vehicle(state(r=0.0, v=10.0), 0.0, 0.1, LIMITS)

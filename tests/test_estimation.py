@@ -59,7 +59,7 @@ def vstate(r=0.0, v=10.0, length=5.0):
 
 
 def unchecked(cls, **fields):
-    """An instance of a frozen dataclass built without ``__post_init__``."""
+    """An instance of a frozen dataclass built without its constructor's checks."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)

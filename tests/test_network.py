@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavsim.estimation import integrate_position
 from cavsim.network import (
@@ -134,6 +135,47 @@ class TestV2XChannel:
         assert channel.send(beacon(sender=0, send_time=1.0), 1, 1.0)
         got = channel.deliver_to(1, 1.0)
         assert got[0].sender == 0
+
+
+def full_drain(channel, receiver, now):
+    """``deliver_to`` without its early return: drain, buffer, then consume."""
+    for rcv, b in channel.queue.pop_due(now):
+        bucket = channel._pending.setdefault(rcv, {})
+        held = bucket.get(b.sender)
+        if held is None or b.send_time > held.send_time:
+            bucket[b.sender] = b
+    out = {}
+    for sender, b in channel._pending.pop(receiver, {}).items():
+        last = channel._last_consumed.get((sender, receiver))
+        if last is not None and b.send_time <= last:
+            continue
+        channel._last_consumed[(sender, receiver)] = b.send_time
+        out[sender] = b
+    return out
+
+
+vehicle = st.integers(0, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    schedule=st.lists(
+        st.tuples(st.lists(st.tuples(vehicle, vehicle), max_size=4), st.lists(vehicle, max_size=5)),
+        max_size=30,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_deliver_to_equals_full_drain(schedule, seed):
+    model = ChannelModel(delay_mean=0.15, delay_std=0.1, loss_prob=0.2, seed=seed)
+    fast, full = V2XChannel(model), V2XChannel(model)
+    for k, (sends, polls) in enumerate(schedule):
+        now = k * 0.1
+        for sender, receiver in sends:
+            b = beacon(sender=sender, send_time=now)
+            assert fast.send(b, receiver, now) == full.send(b, receiver, now)
+        for receiver in polls:
+            assert fast.deliver_to(receiver, now) == full_drain(full, receiver, now)
+    assert len(fast.queue) == len(full.queue)
 
 
 def test_channel_model_validation():

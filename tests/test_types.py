@@ -1,4 +1,7 @@
+import dataclasses
+import inspect
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -120,6 +123,10 @@ class TestInvariants:
         with pytest.raises(ValueError):
             VehicleState(position=0.0, speed=1.0, acceleration=0.0, length=length, leg="a")
 
+    def test_vehicle_state_nan_length_is_value_error(self):
+        with pytest.raises(ValueError, match="length must be > 0, got nan"):
+            VehicleState(position=0.0, speed=1.0, acceleration=0.0, length=math.nan, leg="a")
+
     def test_vehicle_state_accepts_zero_speed_and_negative_position(self):
         VehicleState(position=-1e300, speed=0.0, acceleration=-5.0, length=5.0, leg="a")
         VehicleState(position=0.0, speed=-0.0, acceleration=0.0, length=5.0, leg="a")
@@ -172,6 +179,54 @@ class TestInvariants:
         state = VehicleState(position=0.0, speed=5.0, acceleration=0.0, length=5.0, leg="a")
         Beacon(sender=0, send_time=10.0, state=state, estimate=est)
         Beacon(sender=0, send_time=10.5, state=state, estimate=est)
+
+
+class TestVehicleStateDataclass:
+    """The hand-written constructor keeps every frozen-dataclass behaviour."""
+
+    FIELDS = dict(position=1.5, speed=2.0, acceleration=-0.5, length=4.5, leg="b")
+
+    def test_constructor_takes_the_declared_fields_in_order(self):
+        # The constructor is written out by hand; a field added to the class
+        # must be added there too, or instances would silently lack it.
+        parameters = list(inspect.signature(VehicleState).parameters)
+        assert parameters == [f.name for f in dataclasses.fields(VehicleState)]
+
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = VehicleState(**self.FIELDS)
+        by_position = VehicleState(1.5, 2.0, -0.5, 4.5, "b")
+        assert by_keyword == by_position
+        assert hash(by_keyword) == hash(by_position)
+        assert by_keyword != VehicleState(**{**self.FIELDS, "speed": 2.5})
+
+    def test_repr_asdict_and_replace(self):
+        st = VehicleState(**self.FIELDS)
+        assert repr(st) == (
+            "VehicleState(position=1.5, speed=2.0, acceleration=-0.5, length=4.5, leg='b')"
+        )
+        assert dataclasses.asdict(st) == self.FIELDS
+        assert vars(st) == self.FIELDS
+        moved = dataclasses.replace(st, position=9.0)
+        assert moved.position == 9.0 and moved.leg == "b"
+        with pytest.raises(ValueError):
+            dataclasses.replace(st, speed=-1.0)
+
+    def test_frozen(self):
+        st = VehicleState(**self.FIELDS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            st.speed = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del st.leg
+
+    def test_missing_or_unknown_argument_is_type_error(self):
+        with pytest.raises(TypeError):
+            VehicleState(position=0.0, speed=1.0, acceleration=0.0, length=5.0)
+        with pytest.raises(TypeError):
+            VehicleState(**self.FIELDS, colour="red")
+
+    def test_pickle_round_trip(self):
+        st = VehicleState(**self.FIELDS)
+        assert pickle.loads(pickle.dumps(st)) == st
 
 
 def test_sample_accessors():
