@@ -5,7 +5,9 @@ Per-step phase order (identical every step, deterministic given the seed):
 
 1. spawn due vehicles (deferred while the same-leg spawn gap is blocked)
 2. advance the plant one step with the previous step's commands
-3. refresh crossing sequences and target associations
+3. refresh crossing sequences and target associations, then retire the
+   vehicles that have left coordination (see ``SimulationEngine._retire``);
+   every later phase iterates only the vehicles still simulated
 4. chain pass in crossing order: deliver every beacon due for the vehicle,
    refresh its own trajectory estimate (on prediction boundaries), then
    transmit its beacon to its follower; since a target always precedes its
@@ -178,6 +180,7 @@ class _SimVehicle:
     view_speed: float | None = None
     min_speed: float = math.inf
     full_stopped: bool = False
+    retired_at: float | None = None
 
 
 @dataclass
@@ -230,6 +233,7 @@ class SimulationEngine:
         self.intersections = {spec.id: spec for spec in scenario.intersections}
         self.sequences = {spec.id: CrossingSequence() for spec in scenario.intersections}
         self.vehicles: dict[VehicleId, _SimVehicle] = {}
+        self.retired: dict[VehicleId, _SimVehicle] = {}
         self._pending_spawns: list[SpawnEvent] = list(
             expand_random_spawns(
                 scenario.spawns,
@@ -355,6 +359,31 @@ class SimulationEngine:
             veh.gains.k,
             veh.gains.gamma,
         )
+
+    def _retire(self, now: float) -> None:
+        """Drop vehicles that no longer take part in coordination.
+
+        A vehicle retires once it has crossed, its rear bumper is past the
+        conflict zone (so it can never again occupy the zone), and no vehicle
+        targets it. It moves to ``self.retired`` with its per-vehicle stats
+        frozen and ``retired_at`` set to ``now``; from this step on no phase
+        steps, checks or records it.
+        """
+        leaving = []
+        for vid, veh in self.vehicles.items():
+            if veh.crossed:
+                spec = self.intersections[veh.intersection]
+                zone_hi = spec.crossing_coord + spec.conflict_zone_length / 2.0
+                if veh.state.position - veh.state.length > zone_hi:
+                    leaving.append(vid)
+        if not leaving:
+            return
+        targeted = {veh.target for veh in self.vehicles.values()}
+        for vid in leaving:
+            if vid not in targeted:
+                veh = self.vehicles.pop(vid)
+                veh.retired_at = now
+                self.retired[vid] = veh
 
     # -- phases 4 and 5 -------------------------------------------------
 
@@ -507,6 +536,7 @@ class SimulationEngine:
                 if i > 0:
                     self._advance_plant(i, now)
                 self._update_associations(now)
+                self._retire(now)
                 self._estimate_and_transmit(i, now)
                 self._compute_commands(i, now)
                 self._record(result, i, now)
@@ -520,13 +550,15 @@ class SimulationEngine:
         return result
 
     def _summarize(self, result: RunResult, step_times: list[float]) -> None:
+        everyone = {**self.vehicles, **self.retired}
         errors: list[float] = []
-        rows_by_vehicle: dict[VehicleId, list[tuple]] = {vid: [] for vid in self.vehicles}
+        rows_by_vehicle: dict[VehicleId, list[tuple]] = {vid: [] for vid in everyone}
         for row in result.metrics:
             errors.append(row[3])
             rows_by_vehicle[row[1]].append(row)
         per_vehicle: dict[str, dict] = {}
-        for vid, veh in self.vehicles.items():
+        for vid in sorted(everyone):
+            veh = everyone[vid]
             rows = rows_by_vehicle[vid]
             veh_errors = [row[3] for row in rows]
             linked = sum(1 for row in rows if row[5])
@@ -535,6 +567,7 @@ class SimulationEngine:
                 "intersection": veh.intersection,
                 "crossed": veh.crossed,
                 "entry_time_s": veh.entry_time,
+                "retired_at_s": veh.retired_at,
                 "min_speed_in_zone_mps": None if math.isinf(veh.min_speed) else veh.min_speed,
                 "full_stop": veh.full_stopped,
                 "max_abs_pos_err_m": max((abs(e) for e in veh_errors), default=None),
@@ -547,8 +580,8 @@ class SimulationEngine:
             "max_abs_pos_err_m": max((abs(e) for e in errors), default=0.0),
             "rms_pos_err_m": _rms(errors) or 0.0,
             "violation_count": len(result.violations),
-            "full_stop_count": sum(1 for v in self.vehicles.values() if v.full_stopped),
-            "vehicle_count": len(self.vehicles),
+            "full_stop_count": sum(1 for v in everyone.values() if v.full_stopped),
+            "vehicle_count": len(everyone),
             "steps": len(step_times),
             "mean_step_wallclock_ms": (
                 1000.0 * sum(step_times) / len(step_times) if step_times else 0.0

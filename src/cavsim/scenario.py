@@ -208,7 +208,9 @@ def safety_check(
     by_leg: dict[str, list[tuple[float, VehicleId]]] = {}
     for vid, st in ordered:
         by_leg.setdefault(st.leg, []).append((st.position, vid))
-    for leg_vehicles in by_leg.values():
+    # Legs in id order, so the order of the list does not depend on which
+    # vehicles are still simulated.
+    for _, leg_vehicles in sorted(by_leg.items()):
         leg_vehicles.sort()
         for (pos_rear, vid_rear), (pos_front, vid_front) in zip(
             leg_vehicles, leg_vehicles[1:]

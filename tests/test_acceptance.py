@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+import cavsim.engine as engine_module
 from cavsim.cli import main
 from cavsim.control import ControlGains, consensus_accel
 from cavsim.engine import run, sweep_prediction_step
@@ -358,3 +359,27 @@ def test_fig8_analogue_step_cost_increases_as_prediction_step_shrinks():
     print(f"\n[fig8 analogue] PASS: mean step cost ms "
           f"{{0.01: {cost_001:.2f}, 0.1: {med[0.1]:.3f}, "
           f"0.5: {med[0.5]:.3f}, 1.0: {med[1.0]:.3f}}}")
+
+
+def test_fig8_analogue_horizon_samples_fall_as_prediction_step_grows(monkeypatch):
+    """Host-independent form of the computational-load trend: the number of
+    horizon samples the engine computes on ``paper_stress`` falls strictly
+    as the prediction step grows. No timing is involved."""
+    samples = [0]
+
+    def counted(estimator):
+        def wrapper(*args, **kwargs):
+            estimate = estimator(*args, **kwargs)
+            samples[0] += len(estimate.speeds)
+            return estimate
+        return wrapper
+
+    for name in ("leader_estimate", "follower_estimate", "shift_held_estimate"):
+        monkeypatch.setattr(engine_module, name, counted(getattr(engine_module, name)))
+    counts = {}
+    for step in (0.01, 0.1, 0.5, 1.0):
+        samples[0] = 0
+        run(paper_stress(prediction_step=step))
+        counts[step] = samples[0]
+    assert counts[0.01] > counts[0.1] > counts[0.5] > counts[1.0], counts
+    print(f"\n[fig8 analogue] PASS: horizon samples {counts}")

@@ -5,10 +5,16 @@ The sha256 of ``trajectory.csv`` followed by ``metrics.csv`` from
 to be a pure speed-up must keep these digests; a change that moves a
 simulated result must update them and say why.
 
-The values were recorded before the horizon loops and the plant switched
-from ``min(max(...))`` clamps to ``if``/``elif`` branches, with Python 3.11
-and numpy 2.4. Another Python or numpy build may format or round
-differently; the digests are for that toolchain.
+The values were last moved when vehicles that have crossed and cleared the
+conflict zone started to be retired: ``trajectory.csv`` now ends each such
+vehicle's rows at its retirement, and ``metrics.csv`` is unchanged. The
+digests from before, with every vehicle simulated to the end of the run
+(``5119b2d3...`` and ``c477c0a4...``), are still asserted on the engine with
+retirement switched off in ``test_retirement.py``.
+
+The values were recorded with Python 3.11 and numpy 2.4. Another Python or
+numpy build may format or round differently; the digests are for that
+toolchain.
 """
 
 import hashlib
@@ -21,8 +27,8 @@ from cavsim.cli import main
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 DIGESTS = {
-    "paper_stress": "5119b2d360731606d83a23a4d8537dab4e27f991712331c3910fe3225ef2ea60",
-    "nominal_intersection": "c477c0a40cd2237685060c74dfa8f63fc8a8589a61b1c66168f1f43b9ddc7296",
+    "paper_stress": "c4777d459c4992ed60462e70e661145e1dfc396d579b2b4441e077282fe610e2",
+    "nominal_intersection": "775f825ab8629ece5e8869f887c5342f2f3732ddc4a6df986c3ca0760b3a7f8d",
 }
 
 
