@@ -5,65 +5,35 @@ optional and falls back to documented defaults, but unknown keys anywhere
 in the tree are rejected with the offending path, so a typoed field can
 never silently revert to a default. Unit-suffixed key names state the unit
 of the stored number.
+
+The config dataclasses are the schema. A field's file key is its
+``metadata["key"]`` (a field without one is not read from files), its kind
+is its annotation (float, int, bool, str, or a dataclass read as a nested
+section), and its default is the dataclass default, else
+``metadata["default"]``. ``_read`` reads every section from them; only the
+values that are not one number, bool or string have readers here.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
-from typing import Any, Mapping
+import typing
+from collections.abc import Callable, Mapping
+from typing import Any
 
 import yaml
 
 from .control import GainTable
-from .dynamics import DynamicsLimits
-from .engine import ControlConfig, EngineConfig, EstimatorSettings, ScenarioConfig
+from .engine import DEFAULT_GAINS, ControlConfig, ScenarioConfig
 from .errors import ConfigError
-from .network import BurstLossModel, ChannelModel
-from .scenario import (
-    IntersectionSpec,
-    LegSpec,
-    RandomSpawnSpec,
-    SpawnEvent,
-    SpawnPlan,
-)
+from .network import ChannelModel
+from .scenario import IntersectionSpec, LegSpec, SpawnEvent, SpawnPlan
 
-_ENGINE_KEYS = {"sim_step_s", "duration_s", "seed", "record_every"}
-_CHANNEL_KEYS = {
-    "delay_mean_s",
-    "delay_std_s",
-    "loss_prob",
-    "nlos_windows",
-    "burst",
-    "impaired_vehicles",
-}
-_BURST_KEYS = {"p_good_to_bad", "p_bad_to_good"}
-_ESTIMATOR_KEYS = {
-    "prediction_step_s",
-    "horizon_s",
-    "a_max",
-    "sigma",
-    "v_target",
-    "implicit_solve",
-}
-_CONTROL_KEYS = {"k", "gamma", "time_gap_s", "gain_table"}
-_GAIN_TABLE_KEYS = {"v_i_edges", "v_j_edges", "headway_edges", "entries"}
-_DYNAMICS_KEYS = {"accel_max", "decel_max", "speed_max"}
-_INTERSECTION_KEYS = {"id", "legs", "control_zone_radius_m", "conflict_zone_length_m"}
-_LEG_KEYS = {"id", "approach_length_m"}
-_SPAWNS_KEYS = {"events", "random", "min_spawn_gap_m"}
-_EVENT_KEYS = {"time_s", "intersection", "leg", "speed_mps", "length_m", "start_offset_m"}
-_RANDOM_KEYS = {"rate_per_leg", "speed_min_mps", "speed_max_mps", "length_m", "max_vehicles"}
-_TOP_KEYS = {"engine", "channel", "estimator", "control", "dynamics", "intersections", "spawns"}
-
-
-def _require_keys(section: Mapping[str, Any], allowed: set[str], path: str) -> None:
-    if not isinstance(section, Mapping):
-        raise ConfigError(f"{path}: expected a mapping, got {type(section).__name__}")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
+# Read in place of an absent ``intersections`` section.
+_ONE_INTERSECTION = [{"id": "x", "legs": [{"id": "a"}]}]
 
 
 def _number(value: Any, path: str, kind: type = float):
@@ -86,244 +56,180 @@ def _number(value: Any, path: str, kind: type = float):
     return number
 
 
-def _field(section: Mapping[str, Any], key: str, default: Any, path: str, kind: type = float):
-    """Numeric key ``key`` of the section at ``path``, read through ``_number``."""
-    return _number(section.get(key, default), f"{path}.{key}", kind)
+def _scalar(value: Any, path: str, kind: type):
+    """A bool, a string (numbers read as their text) or a finite number."""
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path}: expected true or false, got {value!r}")
+        return value
+    if kind is str:
+        if not isinstance(value, (str, int, float)):
+            raise ConfigError(f"{path}: expected a string, got {type(value).__name__}")
+        return str(value)
+    return _number(value, path, kind)
 
 
-def _build(cls, path: str, **kwargs):
+def _mapping(raw: Any, path: str) -> Mapping[str, Any]:
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{path}: expected a mapping, got {type(raw).__name__}")
+    return raw
+
+
+def _list(raw: Any, path: str, expected: str, empty_ok: bool = True) -> list:
+    if not isinstance(raw, list) or not (raw or empty_ok):
+        raise ConfigError(f"{path}: expected {expected}")
+    return raw
+
+
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+@functools.cache
+def _schema(cls) -> dict[str, tuple[dataclasses.Field, Any, bool]]:
+    """File key -> (field, kind, whether it may be None) for each keyed field of ``cls``."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        if "key" in f.metadata:
+            args = typing.get_args(hints[f.name])
+            nullable = type(None) in args
+            schema[f.metadata["key"]] = (f, args[0] if nullable else hints[f.name], nullable)
+    return schema
+
+
+def _read(
+    cls,
+    raw: Any,
+    path: str,
+    defaults: Mapping[str, Any] | None = None,
+    **readers: Callable[[Any, str], Any],
+):
+    """An instance of the config dataclass ``cls`` from its section ``raw``.
+
+    A key given in the file is read by ``readers[field name]`` if there is
+    one, else as its annotated kind (float, int, bool or str), else as a
+    nested section of the annotated dataclass; ``null`` on a field that may
+    be None means absent. An absent key takes ``defaults[field name]``
+    (defaults that depend on where the section sits), then the field's own
+    default; a field with neither is required.
+    """
+    section = _mapping(raw, path)
+    schema = _schema(cls)
+    for key in section:
+        if key not in schema:
+            raise ConfigError(f"{_at(path, key)}: unknown key")
+    defaults = defaults or {}
+    kwargs = {}
+    for key, (f, kind, nullable) in schema.items():
+        value = section.get(key)
+        if value is not None or (key in section and not nullable):
+            at = _at(path, key)
+            if f.name in readers:
+                kwargs[f.name] = readers[f.name](value, at)
+            elif kind in (float, int, bool, str):
+                kwargs[f.name] = _scalar(value, at, kind)
+            else:
+                kwargs[f.name] = _read(kind, value, at)
+        elif f.name in defaults:
+            kwargs[f.name] = defaults[f.name]
+        elif "default" in f.metadata:
+            kwargs[f.name] = f.metadata["default"]
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{_at(path, key)}: required key missing")
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_engine(raw: Mapping[str, Any]) -> EngineConfig:
-    _require_keys(raw, _ENGINE_KEYS, "engine")
-    return _build(
-        EngineConfig,
-        "engine",
-        sim_step=_field(raw, "sim_step_s", 0.1, "engine"),
-        duration=_field(raw, "duration_s", 30.0, "engine"),
-        seed=_field(raw, "seed", 42, "engine", int),
-        record_every=_field(raw, "record_every", 1, "engine", int),
-    )
-
-
-def _parse_channel(raw: Mapping[str, Any]) -> ChannelModel:
-    _require_keys(raw, _CHANNEL_KEYS, "channel")
-    windows = raw.get("nlos_windows", [])
-    if not isinstance(windows, list):
-        raise ConfigError("channel.nlos_windows: expected a list of [start, end]")
-    parsed_windows = []
-    for i, win in enumerate(windows):
+def _nlos_windows(raw: Any, path: str) -> tuple[tuple[float, float], ...]:
+    windows = []
+    for i, win in enumerate(_list(raw, path, "a list of [start, end]")):
         if not isinstance(win, (list, tuple)) or len(win) != 2:
-            raise ConfigError(f"channel.nlos_windows[{i}]: expected [start_s, end_s]")
-        parsed_windows.append(
-            (
-                _number(win[0], f"channel.nlos_windows[{i}][0]"),
-                _number(win[1], f"channel.nlos_windows[{i}][1]"),
-            )
-        )
-    burst = None
-    if raw.get("burst") is not None:
-        _require_keys(raw["burst"], _BURST_KEYS, "channel.burst")
-        burst = _build(
-            BurstLossModel,
-            "channel.burst",
-            p_good_to_bad=_field(raw["burst"], "p_good_to_bad", 0.0, "channel.burst"),
-            p_bad_to_good=_field(raw["burst"], "p_bad_to_good", 1.0, "channel.burst"),
-        )
-    impaired = raw.get("impaired_vehicles")
-    if impaired is not None:
-        if not isinstance(impaired, list):
-            raise ConfigError("channel.impaired_vehicles: expected a list of vehicle ids")
-        impaired = tuple(
-            _number(v, f"channel.impaired_vehicles[{n}]", int) for n, v in enumerate(impaired)
-        )
-    return _build(
-        ChannelModel,
-        "channel",
-        delay_mean=_field(raw, "delay_mean_s", 0.040, "channel"),
-        delay_std=_field(raw, "delay_std_s", 0.0259, "channel"),
-        loss_prob=_field(raw, "loss_prob", 0.1, "channel"),
-        nlos_windows=tuple(parsed_windows),
-        burst=burst,
-        impaired_vehicles=impaired,
-    )
+            raise ConfigError(f"{path}[{i}]: expected [start_s, end_s]")
+        windows.append((_number(win[0], f"{path}[{i}][0]"), _number(win[1], f"{path}[{i}][1]")))
+    return tuple(windows)
 
 
-def _parse_estimator(raw: Mapping[str, Any]) -> EstimatorSettings:
-    _require_keys(raw, _ESTIMATOR_KEYS, "estimator")
-    return _build(
-        EstimatorSettings,
-        "estimator",
-        prediction_step=_field(raw, "prediction_step_s", 0.1, "estimator"),
-        horizon_s=_field(raw, "horizon_s", 5.0, "estimator"),
-        a_max=_field(raw, "a_max", 0.73, "estimator"),
-        sigma=_field(raw, "sigma", 4.0, "estimator"),
-        v_target=_field(raw, "v_target", 15.0, "estimator"),
-        implicit_solve=bool(raw.get("implicit_solve", False)),
-    )
+def _numbers(raw: Any, path: str, kind: type = float, expected: str = "a list of numbers"):
+    values = _list(raw, path, expected)
+    return tuple(_number(v, f"{path}[{n}]", kind) for n, v in enumerate(values))
 
 
-def _parse_gain_table(raw: Mapping[str, Any]) -> GainTable:
-    path = "control.gain_table"
-    _require_keys(raw, _GAIN_TABLE_KEYS, path)
+_vehicle_ids = functools.partial(_numbers, kind=int, expected="a list of vehicle ids")
+_channel = functools.partial(
+    _read, ChannelModel, nlos_windows=_nlos_windows, impaired_vehicles=_vehicle_ids
+)
 
-    def edges(key: str) -> tuple[float, ...]:
-        values = raw.get(key, [0.0])
-        if not isinstance(values, list):
-            raise ConfigError(f"{path}.{key}: expected a list of numbers")
-        return tuple(_number(e, f"{path}.{key}[{n}]") for n, e in enumerate(values))
 
+def _gain_entries(raw: Any, path: str):
     def gains(pair: Any, at: str) -> tuple[float, float]:
         return _number(pair[0], f"{at}[0]"), _number(pair[1], f"{at}[1]")
 
     try:
-        entries = tuple(
+        return tuple(
             tuple(
-                tuple(gains(pair, f"{path}.entries[{p}][{r}][{c}]") for c, pair in enumerate(row))
+                tuple(gains(pair, f"{path}[{p}][{r}][{c}]") for c, pair in enumerate(row))
                 for r, row in enumerate(plane)
             )
-            for p, plane in enumerate(raw["entries"])
+            for p, plane in enumerate(raw)
         )
     except (KeyError, IndexError, TypeError) as exc:
-        raise ConfigError(f"{path}.entries: malformed ({exc})") from exc
-    return _build(
-        GainTable,
-        path,
-        v_i_edges=edges("v_i_edges"),
-        v_j_edges=edges("v_j_edges"),
-        headway_edges=edges("headway_edges"),
-        entries=entries,
+        raise ConfigError(f"{path}: malformed ({exc})") from exc
+
+
+_gain_table = functools.partial(
+    _read, GainTable, v_i_edges=_numbers, v_j_edges=_numbers, headway_edges=_numbers,
+    entries=_gain_entries,
+)
+
+
+def _control(raw: Any, path: str) -> ControlConfig:
+    """The control section; ``k`` and ``gamma`` give the single gain pair
+    that stands in for an absent (or null) ``gain_table``."""
+    section = dict(_mapping(raw, path))
+    k, gamma = (_number(section.pop(key, v), f"{path}.{key}") for key, v in DEFAULT_GAINS.items())
+    if section.get("gain_table") is None:
+        section.pop("gain_table", None)
+    single = {"gain_table": GainTable.single(k, gamma)}
+    return _read(ControlConfig, section, path, single, gain_table=_gain_table)
+
+
+def _legs(raw: Any, path: str) -> tuple[LegSpec, ...]:
+    legs = _list(raw, path, "a non-empty list", empty_ok=False)
+    return tuple(_read(LegSpec, leg, f"{path}[{j}]", {"id": str(j)}) for j, leg in enumerate(legs))
+
+
+def _intersections(raw: Any, path: str) -> tuple[IntersectionSpec, ...]:
+    items = _list(raw, path, "a non-empty list", empty_ok=False)
+    return tuple(
+        _read(IntersectionSpec, item, f"{path}[{i}]", {"id": str(i)}, legs=_legs)
+        for i, item in enumerate(items)
     )
-
-
-def _parse_control(raw: Mapping[str, Any]) -> ControlConfig:
-    _require_keys(raw, _CONTROL_KEYS, "control")
-    k = _field(raw, "k", 0.5, "control")
-    gamma = _field(raw, "gamma", 0.8, "control")
-    if raw.get("gain_table") is not None:
-        table = _parse_gain_table(raw["gain_table"])
-    else:
-        table = GainTable.single(k, gamma)
-    return _build(
-        ControlConfig,
-        "control",
-        time_gap=_field(raw, "time_gap_s", 1.5, "control"),
-        gain_table=table,
-    )
-
-
-def _parse_dynamics(raw: Mapping[str, Any]) -> DynamicsLimits:
-    _require_keys(raw, _DYNAMICS_KEYS, "dynamics")
-    return _build(
-        DynamicsLimits,
-        "dynamics",
-        accel_max=_field(raw, "accel_max", 3.0, "dynamics"),
-        decel_max=_field(raw, "decel_max", 5.0, "dynamics"),
-        speed_max=_field(raw, "speed_max", 20.0, "dynamics"),
-    )
-
-
-def _parse_intersections(raw: Any) -> tuple[IntersectionSpec, ...]:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("intersections: expected a non-empty list")
-    specs = []
-    for i, item in enumerate(raw):
-        path = f"intersections[{i}]"
-        _require_keys(item, _INTERSECTION_KEYS, path)
-        legs_raw = item.get("legs")
-        if not isinstance(legs_raw, list) or not legs_raw:
-            raise ConfigError(f"{path}.legs: expected a non-empty list")
-        legs = []
-        for j, leg in enumerate(legs_raw):
-            _require_keys(leg, _LEG_KEYS, f"{path}.legs[{j}]")
-            legs.append(
-                _build(
-                    LegSpec,
-                    f"{path}.legs[{j}]",
-                    id=str(leg.get("id", j)),
-                    approach_length=_field(leg, "approach_length_m", 200.0, f"{path}.legs[{j}]"),
-                )
-            )
-        specs.append(
-            _build(
-                IntersectionSpec,
-                path,
-                id=str(item.get("id", i)),
-                legs=tuple(legs),
-                control_zone_radius=_field(item, "control_zone_radius_m", 150.0, path),
-                conflict_zone_length=_field(item, "conflict_zone_length_m", 12.0, path),
-            )
-        )
-    return tuple(specs)
-
-
-def _parse_spawns(raw: Mapping[str, Any], default_intersection: str) -> SpawnPlan:
-    _require_keys(raw, _SPAWNS_KEYS, "spawns")
-    events = []
-    for i, item in enumerate(raw.get("events", [])):
-        path = f"spawns.events[{i}]"
-        _require_keys(item, _EVENT_KEYS, path)
-        events.append(
-            _build(
-                SpawnEvent,
-                path,
-                time=_field(item, "time_s", 0.0, path),
-                intersection=str(item.get("intersection", default_intersection)),
-                leg=str(item["leg"]) if "leg" in item else _missing(path, "leg"),
-                speed=_field(item, "speed_mps", 10.0, path),
-                length=_field(item, "length_m", 5.0, path),
-                start_offset=_field(item, "start_offset_m", 0.0, path),
-            )
-        )
-    random_spec = None
-    if raw.get("random") is not None:
-        _require_keys(raw["random"], _RANDOM_KEYS, "spawns.random")
-        rr = raw["random"]
-        max_vehicles = rr.get("max_vehicles")
-        random_spec = _build(
-            RandomSpawnSpec,
-            "spawns.random",
-            rate_per_leg=_field(rr, "rate_per_leg", 0.1, "spawns.random"),
-            speed_min=_field(rr, "speed_min_mps", 8.0, "spawns.random"),
-            speed_max=_field(rr, "speed_max_mps", 14.0, "spawns.random"),
-            length=_field(rr, "length_m", 5.0, "spawns.random"),
-            max_vehicles=(
-                _number(max_vehicles, "spawns.random.max_vehicles", int)
-                if max_vehicles is not None
-                else None
-            ),
-        )
-    return _build(
-        SpawnPlan,
-        "spawns",
-        events=tuple(events),
-        random=random_spec,
-        min_spawn_gap=_field(raw, "min_spawn_gap_m", 10.0, "spawns"),
-    )
-
-
-def _missing(path: str, key: str):
-    raise ConfigError(f"{path}.{key}: required key missing")
 
 
 def parse_scenario(raw: Mapping[str, Any]) -> ScenarioConfig:
     """Build and cross-validate a ScenarioConfig from a parsed mapping."""
     if not isinstance(raw, Mapping):
         raise ConfigError("top level: expected a mapping of sections")
-    _require_keys(raw, _TOP_KEYS, "top level")
-    intersections = _parse_intersections(raw.get("intersections", [{"id": "x", "legs": [{"id": "a"}]}]))
-    scenario = ScenarioConfig(
-        engine=_parse_engine(raw.get("engine", {})),
-        channel=_parse_channel(raw.get("channel", {})),
-        estimator=_parse_estimator(raw.get("estimator", {})),
-        control=_parse_control(raw.get("control", {})),
-        limits=_parse_dynamics(raw.get("dynamics", {})),
-        intersections=intersections,
-        spawns=_parse_spawns(raw.get("spawns", {}), intersections[0].id),
+    # Read ahead of the other sections: spawn events default to the first.
+    intersections = _intersections(raw.get("intersections", _ONE_INTERSECTION), "intersections")
+    first = {"intersection": intersections[0].id}
+
+    def events(items: Any, path: str) -> tuple[SpawnEvent, ...]:
+        items = _list(items, path, "a list")
+        return tuple(_read(SpawnEvent, e, f"{path}[{i}]", first) for i, e in enumerate(items))
+
+    scenario = _read(
+        ScenarioConfig,
+        raw,
+        "",
+        {"intersections": intersections},
+        channel=_channel,
+        control=_control,
+        intersections=lambda _raw, _path: intersections,
+        spawns=lambda section, path: _read(SpawnPlan, section, path, events=events),
     )
     scenario.validate()
     return scenario
@@ -350,14 +256,4 @@ def load_scenario(path: str, seed_override: int | None = None) -> ScenarioConfig
 
 def normalized_dump(scenario: ScenarioConfig) -> str:
     """Resolved effective config as stable JSON (for `validate` output)."""
-
-    def encode(obj: Any) -> Any:
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {k: encode(v) for k, v in dataclasses.asdict(obj).items()}
-        if isinstance(obj, tuple):
-            return [encode(v) for v in obj]
-        if isinstance(obj, dict):
-            return {k: encode(v) for k, v in obj.items()}
-        return obj
-
-    return json.dumps(encode(scenario), indent=2, sort_keys=True)
+    return json.dumps(dataclasses.asdict(scenario), indent=2, sort_keys=True)

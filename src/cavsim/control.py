@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import NumericFault
@@ -100,10 +100,12 @@ class GainTable:
     target-speed bucket j, headway bucket h.
     """
 
-    v_i_edges: tuple[float, ...]
-    v_j_edges: tuple[float, ...]
-    headway_edges: tuple[float, ...]
-    entries: tuple[tuple[tuple[tuple[float, float], ...], ...], ...]
+    v_i_edges: tuple[float, ...] = field(metadata={"key": "v_i_edges", "default": (0.0,)})
+    v_j_edges: tuple[float, ...] = field(metadata={"key": "v_j_edges", "default": (0.0,)})
+    headway_edges: tuple[float, ...] = field(metadata={"key": "headway_edges", "default": (0.0,)})
+    entries: tuple[tuple[tuple[tuple[float, float], ...], ...], ...] = field(
+        metadata={"key": "entries"}
+    )
 
     def __post_init__(self) -> None:
         for name, edges in (

@@ -10,7 +10,7 @@ brake actuation are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NumericFault
 from .types import VehicleState
@@ -20,9 +20,9 @@ from .types import VehicleState
 class DynamicsLimits:
     """Actuator saturation. ``decel_max`` is a magnitude (positive)."""
 
-    accel_max: float = 3.0
-    decel_max: float = 5.0
-    speed_max: float = 20.0
+    accel_max: float = field(default=3.0, metadata={"key": "accel_max"})
+    decel_max: float = field(default=5.0, metadata={"key": "decel_max"})
+    speed_max: float = field(default=20.0, metadata={"key": "speed_max"})
 
     def __post_init__(self) -> None:
         # Written as `not x > 0` so NaN fails; infinite limits are allowed.

@@ -66,10 +66,10 @@ FULL_STOP_SPEED = 0.5
 
 @dataclass(frozen=True)
 class EngineConfig:
-    sim_step: float = 0.1
-    duration: float = 30.0
-    seed: int = 42
-    record_every: int = 1
+    sim_step: float = field(default=0.1, metadata={"key": "sim_step_s"})
+    duration: float = field(default=30.0, metadata={"key": "duration_s"})
+    seed: int = field(default=42, metadata={"key": "seed"})
+    record_every: int = field(default=1, metadata={"key": "record_every"})
 
     def __post_init__(self) -> None:
         if self.sim_step <= 0:
@@ -84,12 +84,12 @@ class EngineConfig:
 class EstimatorSettings:
     """File-level estimator section; horizon given in seconds."""
 
-    prediction_step: float = 0.1
-    horizon_s: float = 5.0
-    a_max: float = 0.73
-    sigma: float = 4.0
-    v_target: float = 15.0
-    implicit_solve: bool = False
+    prediction_step: float = field(default=0.1, metadata={"key": "prediction_step_s"})
+    horizon_s: float = field(default=5.0, metadata={"key": "horizon_s"})
+    a_max: float = field(default=0.73, metadata={"key": "a_max"})
+    sigma: float = field(default=4.0, metadata={"key": "sigma"})
+    v_target: float = field(default=15.0, metadata={"key": "v_target"})
+    implicit_solve: bool = field(default=False, metadata={"key": "implicit_solve"})
 
     def params(self, limits: DynamicsLimits) -> EstimatorParams:
         n = max(1, round(self.horizon_s / self.prediction_step))
@@ -104,10 +104,16 @@ class EstimatorSettings:
         )
 
 
+# File keys ``control.k`` and ``control.gamma``: the gain pair when there is no gain table.
+DEFAULT_GAINS = {"k": 0.5, "gamma": 0.8}
+
+
 @dataclass(frozen=True)
 class ControlConfig:
-    time_gap: float = 1.5
-    gain_table: GainTable = field(default_factory=lambda: GainTable.single(0.5, 0.8))
+    time_gap: float = field(default=1.5, metadata={"key": "time_gap_s"})
+    gain_table: GainTable = field(
+        default_factory=lambda: GainTable.single(**DEFAULT_GAINS), metadata={"key": "gain_table"}
+    )
 
     def __post_init__(self) -> None:
         if self.time_gap <= 0:
@@ -116,13 +122,17 @@ class ControlConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    engine: EngineConfig = field(default_factory=EngineConfig)
-    channel: ChannelModel = field(default_factory=ChannelModel)
-    estimator: EstimatorSettings = field(default_factory=EstimatorSettings)
-    control: ControlConfig = field(default_factory=ControlConfig)
-    limits: DynamicsLimits = field(default_factory=DynamicsLimits)
-    intersections: tuple[IntersectionSpec, ...] = ()
-    spawns: SpawnPlan = field(default_factory=SpawnPlan)
+    engine: EngineConfig = field(default_factory=EngineConfig, metadata={"key": "engine"})
+    channel: ChannelModel = field(default_factory=ChannelModel, metadata={"key": "channel"})
+    estimator: EstimatorSettings = field(
+        default_factory=EstimatorSettings, metadata={"key": "estimator"}
+    )
+    control: ControlConfig = field(default_factory=ControlConfig, metadata={"key": "control"})
+    limits: DynamicsLimits = field(default_factory=DynamicsLimits, metadata={"key": "dynamics"})
+    intersections: tuple[IntersectionSpec, ...] = field(
+        default=(), metadata={"key": "intersections"}
+    )
+    spawns: SpawnPlan = field(default_factory=SpawnPlan, metadata={"key": "spawns"})
 
     def validate(self) -> None:
         """Cross-field checks; raises ConfigError naming the offending field."""
@@ -566,8 +576,8 @@ class SimulationEngine:
                 "leg": veh.state.leg,
                 "intersection": veh.intersection,
                 "crossed": veh.crossed,
-                "entry_time_s": veh.entry_time,
-                "retired_at_s": veh.retired_at,
+                "entry_time_s": _grid_time(veh.entry_time),
+                "retired_at_s": _grid_time(veh.retired_at),
                 "min_speed_in_zone_mps": None if math.isinf(veh.min_speed) else veh.min_speed,
                 "full_stop": veh.full_stopped,
                 "max_abs_pos_err_m": max((abs(e) for e in veh_errors), default=None),
@@ -588,6 +598,11 @@ class SimulationEngine:
             ),
             "per_vehicle": per_vehicle,
         }
+
+
+def _grid_time(now: float | None) -> float | None:
+    """A step time as ``trajectory.csv`` prints it, without the binary noise of ``i * dt``."""
+    return None if now is None else round(now, 6)
 
 
 def _rms(values: Sequence[float]) -> float | None:

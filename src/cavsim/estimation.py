@@ -12,7 +12,7 @@ target's last broadcast horizon instead of live data.
 
 Conventions shared with the plant: forward Euler, positions integrated from
 the pre-update speed, speeds clamped into the actuator envelope
-(``limits=None`` means unbounded). Clamps are written as ``if x < lo`` /
+(unbounded unless limits are given). Clamps are written as ``if x < lo`` /
 ``elif x > hi`` branches, which return the same float as
 ``min(max(x, lo), hi)`` for every input, NaN and signed zeros included,
 at a fraction of the interpreter cost. The follower recursion applies the
@@ -57,8 +57,8 @@ class EstimatorParams:
 
     ``limits`` is the ego vehicle's own actuator envelope (a vehicle knows
     what its plant can deliver), which keeps estimates aligned with the
-    saturated plant. ``limits=None`` means unbounded: the recursions run
-    under ``DynamicsLimits(inf, inf, inf)``.
+    saturated plant. The default is the unbounded envelope
+    ``DynamicsLimits(inf, inf, inf)``.
     """
 
     prediction_step: float = 0.1
@@ -67,7 +67,7 @@ class EstimatorParams:
     sigma: float = 4.0
     v_target: float = 15.0
     implicit_solve: bool = False
-    limits: DynamicsLimits | None = None
+    limits: DynamicsLimits = _UNBOUNDED
 
     def __post_init__(self) -> None:
         if self.prediction_step <= 0:
@@ -76,6 +76,8 @@ class EstimatorParams:
             raise ValueError("horizon_len must be >= 1")
         if self.a_max <= 0 or self.sigma <= 0 or self.v_target <= 0:
             raise ValueError("a_max, sigma, v_target must be > 0")
+        if not isinstance(self.limits, DynamicsLimits):
+            raise TypeError("limits must be a DynamicsLimits; the default is unbounded")
 
 
 @dataclass
@@ -93,11 +95,6 @@ class EstimatorState:
     link_up: bool = False
     horizon_exhausted: bool = False
     refreshed_send_time: SimTime | None = None
-
-    @property
-    def last_target_estimate(self) -> TrajectoryEstimate | None:
-        beacon = self.last_target_beacon
-        return beacon.estimate if beacon is not None else None
 
     def has_fresh_beacon(self) -> bool:
         """A beacon newer than the one used by the last refresh is waiting."""
@@ -127,10 +124,9 @@ def predict_leader_speed(params: EstimatorParams, v_now: float) -> list[float]:
     sigma = params.sigma
     v_target = params.v_target
     dt = params.prediction_step
-    limits = params.limits or _UNBOUNDED
-    neg_decel = -limits.decel_max
-    accel_max = limits.accel_max
-    speed_max = limits.speed_max
+    neg_decel = -params.limits.decel_max
+    accel_max = params.limits.accel_max
+    speed_max = params.limits.speed_max
     speeds: list[float] = []
     v = v_now
     for _ in range(params.horizon_len):
@@ -273,10 +269,9 @@ def follower_estimate(
     a = alpha * k_gain * dt
     denom = 1.0 + a * (t_gap + gamma)
     neg_gain = -alpha * k_gain
-    limits = params.limits or _UNBOUNDED
-    neg_decel = -limits.decel_max
-    accel_max = limits.accel_max
-    speed_max = limits.speed_max
+    neg_decel = -params.limits.decel_max
+    accel_max = params.limits.accel_max
+    speed_max = params.limits.speed_max
     speeds: list[float] = []
     positions: list[float] = []
     v = own.speed

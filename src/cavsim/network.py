@@ -27,8 +27,8 @@ class BurstLossModel:
     transmission from the link's own stream.
     """
 
-    p_good_to_bad: float
-    p_bad_to_good: float
+    p_good_to_bad: float = field(metadata={"key": "p_good_to_bad", "default": 0.0})
+    p_bad_to_good: float = field(metadata={"key": "p_bad_to_good", "default": 1.0})
 
     def __post_init__(self) -> None:
         for name, p in (
@@ -50,13 +50,17 @@ class ChannelModel:
     communicates cleanly.
     """
 
-    delay_mean: float = 0.040
-    delay_std: float = 0.0259
-    loss_prob: float = 0.1
-    nlos_windows: tuple[tuple[float, float], ...] = ()
+    delay_mean: float = field(default=0.040, metadata={"key": "delay_mean_s"})
+    delay_std: float = field(default=0.0259, metadata={"key": "delay_std_s"})
+    loss_prob: float = field(default=0.1, metadata={"key": "loss_prob"})
+    nlos_windows: tuple[tuple[float, float], ...] = field(
+        default=(), metadata={"key": "nlos_windows"}
+    )
     seed: int = 0
-    burst: BurstLossModel | None = None
-    impaired_vehicles: tuple[VehicleId, ...] | None = None
+    burst: BurstLossModel | None = field(default=None, metadata={"key": "burst"})
+    impaired_vehicles: tuple[VehicleId, ...] | None = field(
+        default=None, metadata={"key": "impaired_vehicles"}
+    )
 
     def __post_init__(self) -> None:
         if self.delay_mean < 0 or self.delay_std < 0:

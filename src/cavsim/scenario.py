@@ -18,8 +18,8 @@ from .types import VehicleId, VehicleState
 
 @dataclass(frozen=True)
 class LegSpec:
-    id: str
-    approach_length: float
+    id: str = field(metadata={"key": "id"})
+    approach_length: float = field(metadata={"key": "approach_length_m", "default": 200.0})
 
     def __post_init__(self) -> None:
         if self.approach_length <= 0:
@@ -35,10 +35,10 @@ class IntersectionSpec:
     coordinate). ``conflict_zone_length`` is centred on the crossing point.
     """
 
-    id: str
-    legs: tuple[LegSpec, ...]
-    control_zone_radius: float = 150.0
-    conflict_zone_length: float = 12.0
+    id: str = field(metadata={"key": "id"})
+    legs: tuple[LegSpec, ...] = field(metadata={"key": "legs"})
+    control_zone_radius: float = field(default=150.0, metadata={"key": "control_zone_radius_m"})
+    conflict_zone_length: float = field(default=12.0, metadata={"key": "conflict_zone_length_m"})
 
     def __post_init__(self) -> None:
         if not self.legs:
@@ -77,12 +77,12 @@ def project_to_virtual_lane(
 
 @dataclass(frozen=True)
 class SpawnEvent:
-    time: float
-    intersection: str
-    leg: str
-    speed: float
-    length: float = 5.0
-    start_offset: float = 0.0
+    time: float = field(metadata={"key": "time_s", "default": 0.0})
+    intersection: str = field(metadata={"key": "intersection"})
+    leg: str = field(metadata={"key": "leg"})
+    speed: float = field(metadata={"key": "speed_mps", "default": 10.0})
+    length: float = field(default=5.0, metadata={"key": "length_m"})
+    start_offset: float = field(default=0.0, metadata={"key": "start_offset_m"})
 
     def __post_init__(self) -> None:
         if self.speed < 0:
@@ -97,11 +97,11 @@ class SpawnEvent:
 class RandomSpawnSpec:
     """Seeded Poisson arrivals per leg, expanded to events at load time."""
 
-    rate_per_leg: float
-    speed_min: float
-    speed_max: float
-    length: float = 5.0
-    max_vehicles: int | None = None
+    rate_per_leg: float = field(metadata={"key": "rate_per_leg", "default": 0.1})
+    speed_min: float = field(metadata={"key": "speed_min_mps", "default": 8.0})
+    speed_max: float = field(metadata={"key": "speed_max_mps", "default": 14.0})
+    length: float = field(default=5.0, metadata={"key": "length_m"})
+    max_vehicles: int | None = field(default=None, metadata={"key": "max_vehicles"})
 
     def __post_init__(self) -> None:
         if self.rate_per_leg <= 0:
@@ -112,9 +112,9 @@ class RandomSpawnSpec:
 
 @dataclass(frozen=True)
 class SpawnPlan:
-    events: tuple[SpawnEvent, ...] = ()
-    random: RandomSpawnSpec | None = None
-    min_spawn_gap: float = 10.0
+    events: tuple[SpawnEvent, ...] = field(default=(), metadata={"key": "events"})
+    random: RandomSpawnSpec | None = field(default=None, metadata={"key": "random"})
+    min_spawn_gap: float = field(default=10.0, metadata={"key": "min_spawn_gap_m"})
 
 
 def expand_random_spawns(

@@ -22,14 +22,9 @@ _INF = math.inf
 _GRID_RTOL = 1e-9
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class VehicleState:
-    """Ground-truth longitudinal state of one vehicle on the virtual lane.
-
-    The plant builds one per vehicle and step, so the constructor is written
-    out: it checks the arguments and fills ``__dict__`` directly instead of
-    five frozen-field assignments and a separate ``__post_init__``.
-    """
+    """Ground-truth longitudinal state of one vehicle on the virtual lane."""
 
     position: float
     speed: float
@@ -37,26 +32,18 @@ class VehicleState:
     length: float
     leg: str
 
-    def __init__(
-        self, position: float, speed: float, acceleration: float, length: float, leg: str
-    ) -> None:
+    def __post_init__(self) -> None:
         # One chained comparison per field; NaN fails every comparison.
-        if not 0.0 <= speed < _INF:
-            if speed < 0.0:
-                raise ValueError(f"speed must be >= 0, got {speed}")
-            raise NumericFault(f"non-finite speed {speed}")
-        if not -_INF < position < _INF:
-            raise NumericFault(f"non-finite position {position}")
-        if not -_INF < acceleration < _INF:
-            raise NumericFault(f"non-finite acceleration {acceleration}")
-        if not length > 0.0:
-            raise ValueError(f"length must be > 0, got {length}")
-        fields = self.__dict__
-        fields["position"] = position
-        fields["speed"] = speed
-        fields["acceleration"] = acceleration
-        fields["length"] = length
-        fields["leg"] = leg
+        if not 0.0 <= self.speed < _INF:
+            if self.speed < 0.0:
+                raise ValueError(f"speed must be >= 0, got {self.speed}")
+            raise NumericFault(f"non-finite speed {self.speed}")
+        if not -_INF < self.position < _INF:
+            raise NumericFault(f"non-finite position {self.position}")
+        if not -_INF < self.acceleration < _INF:
+            raise NumericFault(f"non-finite acceleration {self.acceleration}")
+        if not self.length > 0.0:
+            raise ValueError(f"length must be > 0, got {self.length}")
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,8 @@ from estimation_oracle import (
 )
 
 GAINS = ControlGains(k=0.5, gamma=0.8, alpha=1)
+# The default envelope of EstimatorParams: no clamp ever binds.
+UNBOUNDED = DynamicsLimits(accel_max=math.inf, decel_max=math.inf, speed_max=math.inf)
 # Tight enough that both acceleration clamps and the speed cap bind in the
 # randomized follower cases below.
 TIGHT_LIMITS = DynamicsLimits(accel_max=1.0, decel_max=2.0, speed_max=18.0)
@@ -39,7 +41,7 @@ TIGHT_LIMITS = DynamicsLimits(accel_max=1.0, decel_max=2.0, speed_max=18.0)
 # test_saturating_limits_bind).
 SATURATING = DynamicsLimits(accel_max=0.2, decel_max=0.3, speed_max=18.0)
 LIMIT_CASES = pytest.mark.parametrize(
-    "limits", [None, TIGHT_LIMITS, SATURATING], ids=["unbounded", "bounded", "saturating"]
+    "limits", [UNBOUNDED, TIGHT_LIMITS, SATURATING], ids=["unbounded", "bounded", "saturating"]
 )
 
 
@@ -316,7 +318,7 @@ class TestFollowerEstimateEquivalence:
             integrate_position(own.position, own.speed, expected, p.prediction_step)
         )
 
-    @pytest.mark.parametrize("limits", [None, TIGHT_LIMITS], ids=["unbounded", "bounded"])
+    @pytest.mark.parametrize("limits", [UNBOUNDED, TIGHT_LIMITS], ids=["unbounded", "bounded"])
     @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
     @pytest.mark.parametrize(
         "own_r, own_v, target_r",
@@ -373,7 +375,7 @@ class TestFollowerEstimateEquivalence:
         assert follow(0.0, 17.0, 20.0, 5.0)[0] == 17.0 - SATURATING.decel_max * dt
         assert follow(0.0, 20.0, 60.0, 20.0)[0] == SATURATING.speed_max
 
-    @pytest.mark.parametrize("limits", [None, TIGHT_LIMITS], ids=["unbounded", "bounded"])
+    @pytest.mark.parametrize("limits", [UNBOUNDED, TIGHT_LIMITS], ids=["unbounded", "bounded"])
     @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
     @pytest.mark.parametrize("v_last", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_final_target_sample_raises(self, implicit, limits, v_last):
@@ -558,6 +560,12 @@ def test_estimator_params_validation():
         EstimatorParams(horizon_len=0)
     with pytest.raises(ValueError):
         EstimatorParams(v_target=-1.0)
+
+
+def test_estimator_params_default_to_the_unbounded_envelope():
+    assert EstimatorParams().limits == UNBOUNDED
+    with pytest.raises(TypeError, match="limits must be a DynamicsLimits"):
+        EstimatorParams(limits=None)
 
 
 def test_leader_estimate_anchors_at_ground_truth():

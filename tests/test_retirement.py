@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from cavsim.cli import write_metrics_csv, write_summary_json, write_trajectory_csv
+from cavsim.cli import main, write_metrics_csv, write_summary_json, write_trajectory_csv
 from cavsim.config import load_scenario
 from cavsim.engine import SimulationEngine, run
 
@@ -84,7 +84,7 @@ def test_retiring_run_is_the_full_run_cut_at_retirement(case, name, edits, tmp_p
     assert any(t is not None for t in retired_at.values())
     expected = [
         row for row in full.trajectory
-        if retired_at[row[1]] is None or row[0] < retired_at[row[1]]
+        if retired_at[row[1]] is None or round(row[0], 6) < retired_at[row[1]]
     ]
     assert len(expected) < len(full.trajectory)
     assert retiring.trajectory == expected
@@ -151,6 +151,26 @@ def test_retired_at_is_one_step_after_last_trajectory_row(scenario):
             assert step == final_step
         else:
             assert stats["crossed"]
-            assert stats["retired_at_s"] == (step + 1) * dt
+            # Summary times sit on the six-decimal grid trajectory.csv prints.
+            assert stats["retired_at_s"] == round((step + 1) * dt, 6)
     retired = [s["retired_at_s"] for s in result.summary["per_vehicle"].values()]
     assert any(t is not None for t in retired)
+
+
+def test_summary_times_are_printed_as_trajectory_times(tmp_path):
+    """``summary.json`` gives each step time as ``trajectory.csv`` prints it,
+    without the binary noise of ``i * dt`` (22.200000000000003)."""
+    out = tmp_path / "out"
+    config = SCENARIOS / "nominal_intersection.yaml"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    times = [
+        stats[key]
+        for stats in summary["per_vehicle"].values()
+        for key in ("entry_time_s", "retired_at_s")
+        if stats[key] is not None
+    ]
+    assert len(times) > len(summary["per_vehicle"])
+    for t in times:
+        assert len(repr(t).partition(".")[2]) <= 6, t
+        assert float(f"{t:.6f}") == t

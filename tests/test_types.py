@@ -182,13 +182,12 @@ class TestInvariants:
 
 
 class TestVehicleStateDataclass:
-    """The hand-written constructor keeps every frozen-dataclass behaviour."""
+    """VehicleState keeps every frozen-dataclass behaviour."""
 
     FIELDS = dict(position=1.5, speed=2.0, acceleration=-0.5, length=4.5, leg="b")
 
     def test_constructor_takes_the_declared_fields_in_order(self):
-        # The constructor is written out by hand; a field added to the class
-        # must be added there too, or instances would silently lack it.
+        # The generated constructor takes the declared fields in order.
         parameters = list(inspect.signature(VehicleState).parameters)
         assert parameters == [f.name for f in dataclasses.fields(VehicleState)]
 
