@@ -160,6 +160,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not steps:
         print("empty --steps list", file=sys.stderr)
         return EXIT_CONFIG
+    if not all(0 < step < float("inf") for step in steps):
+        print(
+            f"invalid --steps list: {args.steps!r}: steps must be finite and > 0",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
     try:
         scenario = load_scenario(args.config, seed_override=args.seed)
         rows, results = sweep_prediction_step(scenario, steps)

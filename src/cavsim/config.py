@@ -165,6 +165,8 @@ _channel = functools.partial(
 
 def _gain_entries(raw: Any, path: str):
     def gains(pair: Any, at: str) -> tuple[float, float]:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError(f"{at}: expected [k, gamma]")
         return _number(pair[0], f"{at}[0]"), _number(pair[1], f"{at}[1]")
 
     try:

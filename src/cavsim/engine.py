@@ -8,16 +8,17 @@ Per-step phase order (identical every step, deterministic given the seed):
 3. refresh crossing sequences and target associations, then retire the
    vehicles that have left coordination (see ``SimulationEngine._retire``);
    every later phase iterates only the vehicles still simulated
-4. chain pass in crossing order: deliver every beacon due for the vehicle,
-   refresh its own trajectory estimate (on prediction boundaries), then
-   transmit its beacon to its follower; since a target always precedes its
-   follower in the chain, a zero-delay channel hands each follower the
-   same-step estimate exactly as the synchronous chain recursion requires
-5. (deliveries are exhaustive after the chain pass; nothing left to drain)
-6. each vehicle computes next step's acceleration command: consensus law
+4. chain pass over the vehicles in a crossing order, in that order:
+   deliver every beacon due for the vehicle, refresh its own trajectory
+   estimate (on prediction boundaries), then transmit its beacon to its
+   follower; since a target always precedes its follower in the chain, a
+   zero-delay channel hands each follower the same-step estimate exactly as
+   the synchronous chain recursion requires. A vehicle in no crossing order
+   has neither target nor follower, so it has nothing to receive or send
+5. each vehicle computes next step's acceleration command: consensus law
    from its delay-compensated target view when following, free driving
    toward the preset target speed otherwise
-7. record trajectory, estimation error, safety, and timing metrics
+6. record trajectory, estimation error, safety, and timing metrics
 
 Commands computed at step s therefore act on the transition into step s+1,
 and no vehicle acts on same-step information it could not have received
@@ -90,6 +91,12 @@ class EstimatorSettings:
     sigma: float = field(default=4.0, metadata={"key": "sigma"})
     v_target: float = field(default=15.0, metadata={"key": "v_target"})
     implicit_solve: bool = field(default=False, metadata={"key": "implicit_solve"})
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, bool) and not value > 0:
+                raise ValueError(f"{f.metadata['key']} must be > 0, got {value}")
 
     def params(self, limits: DynamicsLimits) -> EstimatorParams:
         n = max(1, round(self.horizon_s / self.prediction_step))
@@ -172,6 +179,8 @@ class ScenarioConfig:
                 )
 
 
+# A follower is admitted (follows the consensus law) once it holds a beacon
+# from its current target: ``est.last_target_beacon`` is not None.
 @dataclass
 class _SimVehicle:
     vid: VehicleId
@@ -182,7 +191,6 @@ class _SimVehicle:
     crossed: bool = False
     target: VehicleId | None = None
     gains: ControlGains | None = None
-    admitted: bool = False
     est: EstimatorState = field(default_factory=EstimatorState)
     last_arrival: float = -math.inf
     pending_cmd: float = 0.0
@@ -253,6 +261,8 @@ class SimulationEngine:
             )
         )
         self._next_vid = 0
+        # The chain pass's vehicles in crossing order, and each target's follower.
+        self._chain: list[_SimVehicle] = []
         self._followers: dict[VehicleId, VehicleId] = {}
         if self.params.prediction_step > self.dt:
             self._boundary_every = round(self.params.prediction_step / self.dt)
@@ -317,6 +327,8 @@ class SimulationEngine:
     # -- phase 3 -------------------------------------------------------
 
     def _update_associations(self, now: float) -> None:
+        self._chain = []
+        self._followers = {}
         for iid, spec in self.intersections.items():
             seq = self.sequences[iid]
             for veh in self.vehicles.values():
@@ -332,23 +344,19 @@ class SimulationEngine:
                     if distance <= spec.control_zone_radius:
                         veh.entry_time = now
                         seq.stamp(veh.vid, now)
-            targets = assign_targets(seq)
-            for vid, target in targets.items():
+            for vid, target in assign_targets(seq).items():
                 veh = self.vehicles[vid]
                 if veh.target != target:
                     self._retarget(veh, target, now)
-        self._followers = {}
-        for seq in self.sequences.values():
-            order = seq.order()
-            for target_vid, follower_vid in zip(order, order[1:]):
-                self._followers[target_vid] = follower_vid
+                if target is not None:
+                    self._followers[target] = vid
+                self._chain.append(veh)
 
     def _retarget(self, veh: _SimVehicle, target: VehicleId | None, now: float) -> None:
         veh.target = target
         veh.est.last_target_beacon = None
         veh.est.link_up = False
         veh.est.refreshed_send_time = None
-        veh.admitted = False
         veh.last_arrival = -math.inf
         if target is None:
             veh.gains = None
@@ -373,66 +381,42 @@ class SimulationEngine:
     def _retire(self, now: float) -> None:
         """Drop vehicles that no longer take part in coordination.
 
-        A vehicle retires once it has crossed, its rear bumper is past the
-        conflict zone (so it can never again occupy the zone), and no vehicle
-        targets it. It moves to ``self.retired`` with its per-vehicle stats
-        frozen and ``retired_at`` set to ``now``; from this step on no phase
-        steps, checks or records it.
+        A vehicle retires once it has crossed and its rear bumper is past the
+        conflict zone (so it can never again occupy the zone). No vehicle
+        targets it then: crossing removed it from its sequence, and the same
+        association update retargeted its follower. It moves to
+        ``self.retired`` with its per-vehicle stats frozen and ``retired_at``
+        set to ``now``; from this step on no phase steps, checks or records it.
         """
-        leaving = []
-        for vid, veh in self.vehicles.items():
+        for vid, veh in list(self.vehicles.items()):
             if veh.crossed:
                 spec = self.intersections[veh.intersection]
                 zone_hi = spec.crossing_coord + spec.conflict_zone_length / 2.0
                 if veh.state.position - veh.state.length > zone_hi:
-                    leaving.append(vid)
-        if not leaving:
-            return
-        targeted = {veh.target for veh in self.vehicles.values()}
-        for vid in leaving:
-            if vid not in targeted:
-                veh = self.vehicles.pop(vid)
-                veh.retired_at = now
-                self.retired[vid] = veh
+                    veh.retired_at = now
+                    self.retired[vid] = self.vehicles.pop(vid)
 
-    # -- phases 4 and 5 -------------------------------------------------
-
-    def _estimation_order(self) -> list[VehicleId]:
-        ordered: list[VehicleId] = []
-        seen: set[VehicleId] = set()
-        for iid in self.intersections:
-            for vid in self.sequences[iid].order():
-                ordered.append(vid)
-                seen.add(vid)
-        for vid in self.vehicles:
-            if vid not in seen:
-                ordered.append(vid)
-        return ordered
+    # -- phase 4 -------------------------------------------------------
 
     def _estimate_and_transmit(self, step_index: int, now: float) -> None:
         refresh = step_index % self._boundary_every == 0
-        for vid in self._estimation_order():
-            veh = self.vehicles[vid]
-            arrivals = self.channel.deliver_to(vid, now)
+        for veh in self._chain:
+            arrivals = self.channel.deliver_to(veh.vid, now)
             if veh.target is not None and veh.target in arrivals:
                 veh.est.last_target_beacon = arrivals[veh.target]
                 veh.last_arrival = now
-                veh.admitted = True
             veh.est.link_up = now - veh.last_arrival < self._link_window
-            follower = self._followers.get(vid)
+            follower = self._followers.get(veh.vid)
             # An estimate is only consumed by a follower's inbox or by the
-            # vehicle's own chain role; outside those cases skip the refresh
-            # (crossed and not-yet-coordinating vehicles drive free anyway).
-            needs_estimate = follower is not None or (
-                veh.target is not None and veh.admitted
-            )
+            # vehicle's own chain role; a head with no follower drives free.
+            needs_estimate = follower is not None or veh.est.last_target_beacon is not None
             # First estimate is built immediately so a newly formed chain
             # does not idle until the next coarse prediction boundary.
             if needs_estimate and (refresh or veh.est.own_estimate is None):
                 self._refresh_estimate(veh, now)
             if follower is not None and veh.est.own_estimate is not None:
                 beacon = Beacon(
-                    sender=vid,
+                    sender=veh.vid,
                     send_time=now,
                     state=veh.state,
                     estimate=veh.est.own_estimate,
@@ -441,22 +425,19 @@ class SimulationEngine:
 
     def _refresh_estimate(self, veh: _SimVehicle, now: float) -> None:
         st = veh.est
-        is_follower = veh.target is not None and veh.admitted
-        if not is_follower:
-            st.own_estimate = leader_estimate(now, veh.state, self.params)
-        elif st.has_fresh_beacon():
+        if st.has_fresh_beacon():
             assert veh.gains is not None
             beacon = st.last_target_beacon
             st.own_estimate = follower_estimate(
                 now, veh.state, beacon, veh.gains, self.t_gap, self.params
             )
             st.refreshed_send_time = beacon.send_time
-        elif st.own_estimate is not None:
+        elif st.last_target_beacon is not None and st.own_estimate is not None:
             st.own_estimate = shift_held_estimate(now, veh.state, st.own_estimate, self.params)
         else:
             st.own_estimate = leader_estimate(now, veh.state, self.params)
 
-    # -- phase 6 -------------------------------------------------------
+    # -- phase 5 -------------------------------------------------------
 
     def _compute_commands(self, step_index: int, now: float) -> None:
         for veh in self.vehicles.values():
@@ -464,7 +445,7 @@ class SimulationEngine:
             veh.view_speed = None
             veh.est.horizon_exhausted = False
             try:
-                if veh.target is not None and veh.admitted:
+                if veh.est.last_target_beacon is not None:
                     assert veh.gains is not None
                     view = target_motion_for_control(veh.est, now, self.t_gap, self.params)
                     veh.view_position = view.position
@@ -477,7 +458,7 @@ class SimulationEngine:
                     f"step {step_index} (t={now:.3f}s) vehicle {veh.vid}: {exc}"
                 ) from exc
 
-    # -- phase 7 -------------------------------------------------------
+    # -- phase 6 -------------------------------------------------------
 
     def _record(self, result: RunResult, step_index: int, now: float) -> None:
         record_rows = step_index % self.scenario.engine.record_every == 0

@@ -2,17 +2,15 @@
 
 Beacons suffer a per-transmission stochastic delay (normal, clamped at
 zero), random Bernoulli loss, and total loss inside configured
-non-line-of-sight windows. An in-flight queue delivers beacons at the
-correct simulated time in a globally deterministic order. Every directed
-vehicle pair owns an independent RNG sub-stream derived from the scenario
-seed, so drop decisions and delay draws never depend on send ordering.
+non-line-of-sight windows. Every directed vehicle pair owns an independent
+RNG sub-stream derived from the scenario seed, so drop decisions and delay
+draws never depend on send ordering.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -143,57 +141,22 @@ def transmit(
     return now + max(0.0, tau)
 
 
-@dataclass(order=True)
-class _QueueEntry:
-    sort_key: tuple[float, int, float, int]
-    receiver: VehicleId = field(compare=False)
-    beacon: Beacon = field(compare=False)
-
-
-class InFlightQueue:
-    """Beacons awaiting delivery, ordered by (delivery time, sender, send time)."""
-
-    def __init__(self) -> None:
-        self._heap: list[_QueueEntry] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, delivery_time: SimTime, receiver: VehicleId, beacon: Beacon) -> None:
-        self._seq += 1
-        entry = _QueueEntry(
-            sort_key=(delivery_time, beacon.sender, beacon.send_time, self._seq),
-            receiver=receiver,
-            beacon=beacon,
-        )
-        heapq.heappush(self._heap, entry)
-
-    def has_due(self, now: SimTime) -> bool:
-        """Whether an entry is due at or before ``now``."""
-        return bool(self._heap) and self._heap[0].sort_key[0] <= now
-
-    def pop_due(self, now: SimTime) -> Iterator[tuple[VehicleId, Beacon]]:
-        """Remove and yield all entries due at or before ``now``, in order."""
-        while self.has_due(now):
-            entry = heapq.heappop(self._heap)
-            yield entry.receiver, entry.beacon
-
-
 class V2XChannel:
-    """Engine-facing channel: per-link streams, queue, and receiver inboxes.
+    """Engine-facing channel: per-link streams and one inbox per receiver.
 
-    A receiver consumes at most one beacon per sender per step (the one with
-    the latest send time), and beacons older than one already consumed are
-    discarded so estimator state stays monotone in send time.
+    An inbox is a heap of ``(delivery time, sender, send time, sequence
+    number, beacon)`` entries. A receiver consumes at most one beacon per
+    sender per poll (the due one with the latest send time), and beacons no
+    newer than one already consumed on their link are discarded so
+    estimator state stays monotone in send time.
     """
 
     def __init__(self, model: ChannelModel) -> None:
         self.model = model
-        self.queue = InFlightQueue()
         self._streams: dict[tuple[VehicleId, VehicleId], LinkStream] = {}
         self._last_consumed: dict[tuple[VehicleId, VehicleId], SimTime] = {}
-        self._pending: dict[VehicleId, dict[VehicleId, Beacon]] = {}
+        self._inboxes: dict[VehicleId, list[tuple]] = {}
+        self._sent = 0
 
     def stream_for(self, sender: VehicleId, receiver: VehicleId) -> LinkStream:
         key = (sender, receiver)
@@ -208,28 +171,19 @@ class V2XChannel:
         )
         if isinstance(result, Dropped):
             return False
-        self.queue.push(result, receiver, beacon)
+        self._sent += 1
+        entry = (result, beacon.sender, beacon.send_time, self._sent, beacon)
+        heapq.heappush(self._inboxes.setdefault(receiver, []), entry)
         return True
 
     def deliver_to(self, receiver: VehicleId, now: SimTime) -> dict[VehicleId, Beacon]:
-        """Drain deliveries due for one receiver, freshest per sender.
-
-        Entries due for other receivers stay queued but are buffered once
-        popped, so repeated calls within a step remain cheap and ordered.
-        Most calls find nothing due and nothing buffered, and return at once.
-        """
-        if receiver not in self._pending and not self.queue.has_due(now):
-            return {}
-        for rcv, beacon in self.queue.pop_due(now):
-            bucket = self._pending.setdefault(rcv, {})
-            held = bucket.get(beacon.sender)
-            if held is None or beacon.send_time > held.send_time:
-                bucket[beacon.sender] = beacon
+        """Pop the beacons due for one receiver, freshest per sender."""
+        inbox = self._inboxes.get(receiver)
         out: dict[VehicleId, Beacon] = {}
-        for sender, beacon in self._pending.pop(receiver, {}).items():
+        while inbox and inbox[0][0] <= now:
+            _, sender, send_time, _, beacon = heapq.heappop(inbox)
             last = self._last_consumed.get((sender, receiver))
-            if last is not None and beacon.send_time <= last:
-                continue
-            self._last_consumed[(sender, receiver)] = beacon.send_time
-            out[sender] = beacon
+            if last is None or send_time > last:
+                self._last_consumed[(sender, receiver)] = send_time
+                out[sender] = beacon
         return out

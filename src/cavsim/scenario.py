@@ -108,6 +108,8 @@ class RandomSpawnSpec:
             raise ValueError("rate_per_leg must be > 0")
         if not 0 <= self.speed_min <= self.speed_max:
             raise ValueError("need 0 <= speed_min <= speed_max")
+        if self.max_vehicles is not None and self.max_vehicles < 0:
+            raise ValueError(f"max_vehicles must be >= 0, got {self.max_vehicles}")
 
 
 @dataclass(frozen=True)

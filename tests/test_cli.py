@@ -9,6 +9,7 @@ import yaml
 from cavsim.cli import main
 from cavsim.config import load_scenario, parse_scenario
 from cavsim.errors import ConfigError
+from cavsim.scenario import expand_random_spawns
 
 VALID_CONFIG = textwrap.dedent(
     """
@@ -281,3 +282,57 @@ class TestNonFiniteValues:
 
     def test_integral_float_is_an_int(self):
         assert parse_scenario({"engine": {"record_every": 2.0}}).engine.record_every == 2
+
+
+# (estimator key, value): each must be > 0; zero once divided by zero and a
+# negative horizon became a one-sample horizon.
+NON_POSITIVE_ESTIMATOR_CASES = [
+    ("prediction_step_s", 0),
+    ("horizon_s", -5),
+    ("a_max", -1),
+    ("sigma", 0),
+    ("v_target", 0),
+]
+
+
+class TestOutOfRangeValues:
+    @pytest.mark.parametrize(
+        "key, value", NON_POSITIVE_ESTIMATOR_CASES, ids=[k for k, _ in NON_POSITIVE_ESTIMATOR_CASES]
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_positive_estimator_value_exits_2(self, tmp_path, capsys, key, value, command):
+        cfg = write_with(tmp_path, ("estimator", key), value)
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: estimator: {key} must be > 0, got {value}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("steps", ["0.1,0", "-0.5", "nan", "inf"])
+    def test_sweep_non_positive_step_exits_2(self, tmp_path, capsys, steps):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg), "--steps", steps, "--out", str(out)]) == 2
+        assert "invalid --steps list" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_max_vehicles_exits_2(self, tmp_path, capsys):
+        cfg = write_with(tmp_path, ("spawns", "random", "max_vehicles"), -1)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: spawns.random: max_vehicles must be >= 0, got -1" in err
+
+    def test_zero_max_vehicles_spawns_no_random_arrival(self):
+        scenario = parse_scenario({"spawns": {"random": {"max_vehicles": 0}}})
+        assert expand_random_spawns(scenario.spawns, scenario.intersections, 60.0, 1) == ()
+
+    @pytest.mark.parametrize(
+        "pair", [[0.5, 0.8, 99.0], [0.5], 0.5], ids=["three_numbers", "one_number", "scalar"]
+    )
+    def test_gain_pair_needs_exactly_two_numbers(self, pair):
+        with pytest.raises(
+            ConfigError, match=r"^control\.gain_table\.entries\[0\]\[0\]\[0\]: expected \[k, gamma\]$"
+        ):
+            parse_scenario({"control": {"gain_table": {"entries": [[[pair]]]}}})

@@ -485,7 +485,7 @@ class TestUpdateEstimates:
     """The engine's per-vehicle estimate refresh, the simulator's one chain pass."""
 
     @staticmethod
-    def _vehicle(vid, state, target=None, admitted=False, **est):
+    def _vehicle(vid, state, target=None, **est):
         return _SimVehicle(
             vid=vid,
             intersection="x",
@@ -493,7 +493,6 @@ class TestUpdateEstimates:
             spawn_time=0.0,
             target=target,
             gains=GAINS if target is not None else None,
-            admitted=admitted,
             est=EstimatorState(**est),
         )
 
@@ -511,7 +510,7 @@ class TestUpdateEstimates:
         # The only beacon on hand was consumed by the previous refresh.
         beacon = Beacon(sender=0, send_time=0.0, state=vstate(r=30.0), estimate=prev)
         follower = self._vehicle(
-            1, vstate(r=0.0, v=9.2), target=0, admitted=True,
+            1, vstate(r=0.0, v=9.2), target=0,
             own_estimate=prev, last_target_beacon=beacon, refreshed_send_time=0.0,
         )
         engine._refresh_estimate(follower, 0.1)
@@ -523,8 +522,11 @@ class TestUpdateEstimates:
         engine = SimulationEngine(perfect_two_vehicle())
         truth = vstate(r=0.0, v=9.0)
         expected = leader_estimate(0.0, truth, engine.params)
-        for admitted in (False, True):
-            follower = self._vehicle(1, truth, target=0, admitted=admitted)
+        consumed = Beacon(sender=0, send_time=0.0, state=vstate(r=30.0), estimate=expected)
+        # Not yet admitted (no beacon), and admitted with its one beacon
+        # already consumed but no own estimate to hold.
+        for est in ({}, {"last_target_beacon": consumed, "refreshed_send_time": 0.0}):
+            follower = self._vehicle(1, truth, target=0, **est)
             engine._refresh_estimate(follower, 0.0)
             assert follower.est.own_estimate.speeds == expected.speeds
 
@@ -535,7 +537,7 @@ class TestUpdateEstimates:
         beacon = Beacon(sender=0, send_time=0.0, state=leader_truth, estimate=lead_est)
         truth = vstate(r=5.0, v=10.0)
         follower = self._vehicle(
-            1, truth, target=0, admitted=True, last_target_beacon=beacon, link_up=True
+            1, truth, target=0, last_target_beacon=beacon, link_up=True
         )
         engine._refresh_estimate(follower, 0.0)
         expected = follower_estimate(0.0, truth, beacon, GAINS, engine.t_gap, engine.params)

@@ -1,3 +1,7 @@
+import heapq
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +11,6 @@ from cavsim.network import (
     BurstLossModel,
     ChannelModel,
     Dropped,
-    InFlightQueue,
     V2XChannel,
     link_stream,
     transmit,
@@ -87,71 +90,125 @@ class TestTransmit:
         assert second == 0.1                    # bad -> good, delivered
 
 
+class ReferenceChannel:
+    """The channel as a single in-flight queue (reference oracle).
+
+    Every beacon waits in one queue ordered by (delivery time, sender, send
+    time, send order). Polling any receiver pops everything due into
+    per-receiver buffers that keep the freshest beacon per sender; the polled
+    receiver then takes its buffer, minus beacons no newer than one it
+    already consumed on that link. Link randomness comes from the same
+    ``link_stream``/``transmit`` pair as ``V2XChannel``.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.queue = []
+        self.sent = itertools.count()
+        self.streams = {}
+        self.pending = {}
+        self.last_consumed = {}
+
+    def send(self, b, receiver, now):
+        key = (b.sender, receiver)
+        if key not in self.streams:
+            self.streams[key] = link_stream(self.model, *key)
+        result = transmit(self.model, b, now, self.streams[key], receiver)
+        if isinstance(result, Dropped):
+            return False
+        entry = (result, b.sender, b.send_time, next(self.sent), receiver, b)
+        heapq.heappush(self.queue, entry)
+        return True
+
+    def deliver_to(self, receiver, now):
+        while self.queue and self.queue[0][0] <= now:
+            *_, rcv, b = heapq.heappop(self.queue)
+            bucket = self.pending.setdefault(rcv, {})
+            held = bucket.get(b.sender)
+            if held is None or b.send_time > held.send_time:
+                bucket[b.sender] = b
+        out = {}
+        for sender, b in self.pending.pop(receiver, {}).items():
+            last = self.last_consumed.get((sender, receiver))
+            if last is None or b.send_time > last:
+                self.last_consumed[(sender, receiver)] = b.send_time
+                out[sender] = b
+        return out
+
+
+IDEAL = ChannelModel(delay_mean=0.0, delay_std=0.0, loss_prob=0.0, seed=1)
+
+
+def both(model=IDEAL):
+    return V2XChannel(model), ReferenceChannel(model)
+
+
+def send_both(channels, b, receiver, now):
+    """Send on both channels; on an ideal channel ``now`` is the delivery time."""
+    sent = [channel.send(b, receiver, now) for channel in channels]
+    assert sent[0] == sent[1]
+    return sent[0]
+
+
+def deliver_both(channels, receiver, now):
+    got = [channel.deliver_to(receiver, now) for channel in channels]
+    assert got[0] == got[1]
+    return got[0]
+
+
 class TestQueue:
     def test_order_by_delivery_time(self):
-        q = InFlightQueue()
-        q.push(5.03, 1, beacon(sender=0, send_time=5.0))
-        q.push(5.01, 1, beacon(sender=2, send_time=5.0))
-        out = [b for _, b in q.pop_due(5.05)]
-        assert [b.sender for b in out] == [2, 0]
+        channels = both()
+        send_both(channels, beacon(sender=0, send_time=5.0), 1, 5.03)
+        send_both(channels, beacon(sender=2, send_time=5.0), 1, 5.01)
+        assert sorted(deliver_both(channels, 1, 5.05)) == [0, 2]
 
     def test_only_due_entries_pop(self):
-        q = InFlightQueue()
-        q.push(5.01, 1, beacon(send_time=5.0))
-        q.push(5.2, 1, beacon(send_time=5.1))
-        assert len(list(q.pop_due(5.05))) == 1
-        assert len(q) == 1
+        channels = both()
+        send_both(channels, beacon(send_time=5.0), 1, 5.01)
+        send_both(channels, beacon(send_time=5.1), 1, 5.2)
+        assert deliver_both(channels, 1, 5.05)[0].send_time == 5.0
+        assert deliver_both(channels, 1, 5.1) == {}
+        assert deliver_both(channels, 1, 5.2)[0].send_time == 5.1
 
     def test_empty_queue(self):
-        assert list(InFlightQueue().pop_due(10.0)) == []
+        assert deliver_both(both(), 1, 10.0) == {}
 
     def test_sender_then_send_time_tiebreak(self):
-        q = InFlightQueue()
-        q.push(5.0, 1, beacon(sender=4, send_time=4.9))
-        q.push(5.0, 1, beacon(sender=4, send_time=4.8))
-        q.push(5.0, 1, beacon(sender=1, send_time=4.95))
-        out = [b for _, b in q.pop_due(5.0)]
-        assert [(b.sender, b.send_time) for b in out] == [(1, 4.95), (4, 4.8), (4, 4.9)]
+        channels = both()
+        send_both(channels, beacon(sender=4, send_time=4.9), 1, 5.0)
+        send_both(channels, beacon(sender=4, send_time=4.8), 1, 5.0)
+        send_both(channels, beacon(sender=1, send_time=4.95), 1, 5.0)
+        got = deliver_both(channels, 1, 5.0)
+        assert {s: b.send_time for s, b in got.items()} == {1: 4.95, 4: 4.9}
 
 
 class TestV2XChannel:
     def test_freshest_wins_per_sender(self):
-        channel = V2XChannel(ChannelModel(delay_mean=0.0, delay_std=0.0, loss_prob=0.0, seed=1))
-        channel.queue.push(5.0, 1, beacon(sender=0, send_time=4.9))
-        channel.queue.push(5.0, 1, beacon(sender=0, send_time=5.0))
-        got = channel.deliver_to(1, 5.0)
-        assert got[0].send_time == 5.0
+        channels = both()
+        send_both(channels, beacon(sender=0, send_time=4.9), 1, 5.0)
+        send_both(channels, beacon(sender=0, send_time=5.0), 1, 5.0)
+        assert deliver_both(channels, 1, 5.0)[0].send_time == 5.0
 
     def test_stale_beacons_discarded(self):
-        channel = V2XChannel(ChannelModel(delay_mean=0.0, delay_std=0.0, loss_prob=0.0, seed=1))
-        channel.queue.push(5.0, 1, beacon(sender=0, send_time=5.0))
-        assert channel.deliver_to(1, 5.0)[0].send_time == 5.0
+        channels = both()
+        send_both(channels, beacon(sender=0, send_time=5.0), 1, 5.0)
+        assert deliver_both(channels, 1, 5.0)[0].send_time == 5.0
         # an out-of-order older beacon arrives later
-        channel.queue.push(5.1, 1, beacon(sender=0, send_time=4.7))
-        assert channel.deliver_to(1, 5.1) == {}
+        send_both(channels, beacon(sender=0, send_time=4.7), 1, 5.1)
+        assert deliver_both(channels, 1, 5.1) == {}
 
     def test_send_and_deliver_roundtrip(self):
-        channel = V2XChannel(ChannelModel(delay_mean=0.0, delay_std=0.0, loss_prob=0.0, seed=1))
-        assert channel.send(beacon(sender=0, send_time=1.0), 1, 1.0)
-        got = channel.deliver_to(1, 1.0)
-        assert got[0].sender == 0
+        channels = both()
+        assert send_both(channels, beacon(sender=0, send_time=1.0), 1, 1.0)
+        assert deliver_both(channels, 1, 1.0)[0].sender == 0
 
-
-def full_drain(channel, receiver, now):
-    """``deliver_to`` without its early return: drain, buffer, then consume."""
-    for rcv, b in channel.queue.pop_due(now):
-        bucket = channel._pending.setdefault(rcv, {})
-        held = bucket.get(b.sender)
-        if held is None or b.send_time > held.send_time:
-            bucket[b.sender] = b
-    out = {}
-    for sender, b in channel._pending.pop(receiver, {}).items():
-        last = channel._last_consumed.get((sender, receiver))
-        if last is not None and b.send_time <= last:
-            continue
-        channel._last_consumed[(sender, receiver)] = b.send_time
-        out[sender] = b
-    return out
+    def test_other_receivers_keep_their_beacons(self):
+        channels = both()
+        send_both(channels, beacon(sender=0, send_time=1.0), 1, 1.0)
+        send_both(channels, beacon(sender=0, send_time=1.0), 2, 1.0)
+        assert deliver_both(channels, 1, 2.0)[0].send_time == 1.0
+        assert deliver_both(channels, 2, 3.0)[0].send_time == 1.0
 
 
 vehicle = st.integers(0, 3)
@@ -164,18 +221,22 @@ vehicle = st.integers(0, 3)
         max_size=30,
     ),
     seed=st.integers(0, 2**16),
+    delay_mean=st.sampled_from([0.0, 0.05, 0.15]),
 )
-def test_deliver_to_equals_full_drain(schedule, seed):
-    model = ChannelModel(delay_mean=0.15, delay_std=0.1, loss_prob=0.2, seed=seed)
-    fast, full = V2XChannel(model), V2XChannel(model)
+def test_channel_matches_reference(schedule, seed, delay_mean):
+    """Delays up to several steps reorder deliveries, and each step polls only
+    the listed receivers (any order, repeats allowed), so beacons wait
+    across steps for receivers that are not polled."""
+    model = ChannelModel(delay_mean=delay_mean, delay_std=0.1, loss_prob=0.2, seed=seed)
+    channels = both(model)
     for k, (sends, polls) in enumerate(schedule):
         now = k * 0.1
         for sender, receiver in sends:
-            b = beacon(sender=sender, send_time=now)
-            assert fast.send(b, receiver, now) == full.send(b, receiver, now)
+            send_both(channels, beacon(sender=sender, send_time=now), receiver, now)
         for receiver in polls:
-            assert fast.deliver_to(receiver, now) == full_drain(full, receiver, now)
-    assert len(fast.queue) == len(full.queue)
+            deliver_both(channels, receiver, now)
+    for receiver in range(4):
+        deliver_both(channels, receiver, math.inf)
 
 
 def test_channel_model_validation():

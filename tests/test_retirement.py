@@ -95,6 +95,23 @@ def test_retiring_run_is_the_full_run_cut_at_retirement(case, name, edits, tmp_p
     assert json.dumps(summary) == json.dumps(full_summary)
 
 
+@pytest.mark.parametrize("case,name,edits", CASES[2:], ids=[c[0] for c in CASES[2:]])
+def test_no_vehicle_targets_a_crossed_vehicle(case, name, edits, tmp_path):
+    """Crossing takes a vehicle out of its sequence, and the same association
+    update retargets its follower; so ``_retire`` needs no check that nothing
+    targets the vehicles it retires."""
+    follower_steps = []
+
+    def probe(engine, now):
+        for veh in engine.vehicles.values():
+            if veh.target is not None:
+                assert not engine.vehicles[veh.target].crossed, (now, veh.vid, veh.target)
+                follower_steps.append(now)
+
+    run(_load(tmp_path, name, edits), on_step=probe)
+    assert len(follower_steps) > 1000
+
+
 def _nominal_without_cap(duration):
     scenario = load_scenario(str(SCENARIOS / "nominal_intersection.yaml"))
     spawns = dataclasses.replace(
