@@ -24,7 +24,6 @@ from .estimation import (
 )
 from .network import ChannelModel, transmit
 from .scenario import (
-    CrossingSequence,
     IntersectionSpec,
     LegSpec,
     SpawnEvent,

@@ -138,15 +138,7 @@ def _write_run_outputs(out_dir: Path, result: RunResult) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.config, seed_override=args.seed)
-        result = run(scenario)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericFault as exc:
-        print(f"numeric fault: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    result = run(load_scenario(args.config, seed_override=args.seed))
     _write_run_outputs(Path(args.out), result)
     return EXIT_OK
 
@@ -166,15 +158,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    try:
-        scenario = load_scenario(args.config, seed_override=args.seed)
-        rows, results = sweep_prediction_step(scenario, steps)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericFault as exc:
-        print(f"numeric fault: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    scenario = load_scenario(args.config, seed_override=args.seed)
+    rows, results = sweep_prediction_step(scenario, steps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for dt_pred, result in results.items():
@@ -188,12 +173,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.config)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    print(normalized_dump(scenario))
+    print(normalized_dump(load_scenario(args.config)))
     return EXIT_OK
 
 
@@ -227,7 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NumericFault as exc:
+        print(f"numeric fault: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -41,53 +41,29 @@ class ControlGains:
             raise ValueError("alpha must be 0 or 1")
 
 
-def consensus_accel_raw(
-    r_i: float,
-    v_i: float,
-    r_j: float,
-    v_j: float,
-    l_j: float,
-    t_gap: float,
-    alpha: int,
-    k: float,
-    gamma: float,
-) -> float:
-    """Scalar core of the consensus law; shared by controller and estimator."""
-    if alpha == 0:
+def consensus_accel(ego: VehicleState, target: TargetView, gains: ControlGains) -> float:
+    """Unsaturated acceleration command; saturation is the plant's job."""
+    if target.time_gap <= 0:
+        raise ValueError("time_gap must be > 0")
+    r_i, v_i, r_j, v_j = ego.position, ego.speed, target.position, target.speed
+    for name, value in (
+        ("ego.position", r_i),
+        ("ego.speed", v_i),
+        ("target.position", r_j),
+        ("target.speed", v_j),
+    ):
+        if not math.isfinite(value):
+            raise NumericFault(f"non-finite controller input {name}={value}")
+    if gains.alpha == 0:
         return 0.0
-    spacing = r_i - r_j + l_j + v_i * t_gap
-    accel = -alpha * k * (spacing + gamma * (v_i - v_j))
+    spacing = r_i - r_j + target.length + v_i * target.time_gap
+    accel = -gains.alpha * gains.k * (spacing + gains.gamma * (v_i - v_j))
     if not math.isfinite(accel):
         raise NumericFault(
             f"consensus law produced non-finite acceleration from "
             f"r_i={r_i} v_i={v_i} r_j={r_j} v_j={v_j}"
         )
     return accel
-
-
-def consensus_accel(ego: VehicleState, target: TargetView, gains: ControlGains) -> float:
-    """Unsaturated acceleration command; saturation is the plant's job."""
-    if target.time_gap <= 0:
-        raise ValueError("time_gap must be > 0")
-    for name, value in (
-        ("ego.position", ego.position),
-        ("ego.speed", ego.speed),
-        ("target.position", target.position),
-        ("target.speed", target.speed),
-    ):
-        if not math.isfinite(value):
-            raise NumericFault(f"non-finite controller input {name}={value}")
-    return consensus_accel_raw(
-        ego.position,
-        ego.speed,
-        target.position,
-        target.speed,
-        target.length,
-        target.time_gap,
-        gains.alpha,
-        gains.k,
-        gains.gamma,
-    )
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,19 @@ Per-step phase order (identical every step, deterministic given the seed):
 
 1. spawn due vehicles (deferred while the same-leg spawn gap is blocked)
 2. advance the plant one step with the previous step's commands
-3. refresh crossing sequences and target associations, then retire the
-   vehicles that have left coordination (see ``SimulationEngine._retire``);
-   every later phase iterates only the vehicles still simulated
-4. chain pass over the vehicles in a crossing order, in that order:
-   deliver every beacon due for the vehicle, refresh its own trajectory
-   estimate (on prediction boundaries), then transmit its beacon to its
-   follower; since a target always precedes its follower in the chain, a
-   zero-delay channel hands each follower the same-step estimate exactly as
-   the synchronous chain recursion requires. A vehicle in no crossing order
-   has neither target nor follower, so it has nothing to receive or send
+3. update each intersection's crossing order (``SimulationEngine.orders``)
+   in one walk over the vehicles: a vehicle that crosses leaves its order,
+   one that enters the control zone is appended; then retarget every
+   vehicle of an order to its predecessor and retire the vehicles that have
+   left coordination (see ``SimulationEngine._retire``); every later phase
+   iterates only the vehicles still simulated
+4. chain pass over each crossing order, in that order: deliver every beacon
+   due for the vehicle, refresh its own trajectory estimate (on prediction
+   boundaries), then transmit its beacon to its follower, its successor in
+   the order; since a target always precedes its follower, a zero-delay
+   channel hands each follower the same-step estimate exactly as the
+   synchronous chain recursion requires. A vehicle in no crossing order has
+   neither target nor follower, so it has nothing to receive or send
 5. each vehicle computes next step's acceleration command: consensus law
    from its delay-compensated target view when following, free driving
    toward the preset target speed otherwise
@@ -49,7 +52,6 @@ from .estimation import (
 )
 from .network import ChannelModel, V2XChannel
 from .scenario import (
-    CrossingSequence,
     IntersectionSpec,
     SpawnEvent,
     SpawnPlan,
@@ -186,7 +188,6 @@ class _SimVehicle:
     vid: VehicleId
     intersection: str
     state: VehicleState
-    spawn_time: float
     entry_time: float | None = None
     crossed: bool = False
     target: VehicleId | None = None
@@ -249,7 +250,15 @@ class SimulationEngine:
         )
         self.channel = V2XChannel(channel_model)
         self.intersections = {spec.id: spec for spec in scenario.intersections}
-        self.sequences = {spec.id: CrossingSequence() for spec in scenario.intersections}
+        # Each intersection's first-come-first-served crossing order: the ids
+        # of its entered, uncrossed vehicles by (control-zone entry time, id).
+        # Appending on entry keeps that order without a sort: every entry of
+        # one step is stamped with the same ``now``, later than any earlier
+        # entry, and ``self.vehicles`` iterates in ascending id, because ids
+        # are issued in spawn order and retirement only removes vehicles.
+        self.orders: dict[str, list[VehicleId]] = {
+            spec.id: [] for spec in scenario.intersections
+        }
         self.vehicles: dict[VehicleId, _SimVehicle] = {}
         self.retired: dict[VehicleId, _SimVehicle] = {}
         self._pending_spawns: list[SpawnEvent] = list(
@@ -261,9 +270,6 @@ class SimulationEngine:
             )
         )
         self._next_vid = 0
-        # The chain pass's vehicles in crossing order, and each target's follower.
-        self._chain: list[_SimVehicle] = []
-        self._followers: dict[VehicleId, VehicleId] = {}
         if self.params.prediction_step > self.dt:
             self._boundary_every = round(self.params.prediction_step / self.dt)
         else:
@@ -309,7 +315,6 @@ class SimulationEngine:
                 length=event.length,
                 leg=event.leg,
             ),
-            spawn_time=now,
         )
         return True
 
@@ -327,30 +332,28 @@ class SimulationEngine:
     # -- phase 3 -------------------------------------------------------
 
     def _update_associations(self, now: float) -> None:
-        self._chain = []
-        self._followers = {}
-        for iid, spec in self.intersections.items():
-            seq = self.sequences[iid]
-            for veh in self.vehicles.values():
-                if veh.intersection != iid or veh.crossed:
-                    continue
-                if veh.state.position > spec.crossing_coord + veh.state.length:
-                    veh.crossed = True
-                    seq.remove(veh.vid)
-                    self._retarget(veh, None, now)
-                    continue
-                if veh.entry_time is None:
-                    distance = spec.crossing_coord - veh.state.position
-                    if distance <= spec.control_zone_radius:
-                        veh.entry_time = now
-                        seq.stamp(veh.vid, now)
-            for vid, target in assign_targets(seq).items():
+        for veh in self.vehicles.values():
+            if veh.crossed:
+                continue
+            spec = self.intersections[veh.intersection]
+            if veh.state.position > spec.crossing_coord + veh.state.length:
+                veh.crossed = True
+                # A vehicle can pass the whole control zone in one step and
+                # cross without ever having entered it.
+                if veh.entry_time is not None:
+                    self.orders[veh.intersection].remove(veh.vid)
+                self._retarget(veh, None, now)
+            elif (
+                veh.entry_time is None
+                and spec.crossing_coord - veh.state.position <= spec.control_zone_radius
+            ):
+                veh.entry_time = now
+                self.orders[veh.intersection].append(veh.vid)
+        for order in self.orders.values():
+            for vid, target in assign_targets(order):
                 veh = self.vehicles[vid]
                 if veh.target != target:
                     self._retarget(veh, target, now)
-                if target is not None:
-                    self._followers[target] = vid
-                self._chain.append(veh)
 
     def _retarget(self, veh: _SimVehicle, target: VehicleId | None, now: float) -> None:
         veh.target = target
@@ -383,8 +386,8 @@ class SimulationEngine:
 
         A vehicle retires once it has crossed and its rear bumper is past the
         conflict zone (so it can never again occupy the zone). No vehicle
-        targets it then: crossing removed it from its sequence, and the same
-        association update retargeted its follower. It moves to
+        targets it then: crossing removed it from its crossing order, and the
+        same association update retargeted its follower. It moves to
         ``self.retired`` with its per-vehicle stats frozen and ``retired_at``
         set to ``now``; from this step on no phase steps, checks or records it.
         """
@@ -400,28 +403,29 @@ class SimulationEngine:
 
     def _estimate_and_transmit(self, step_index: int, now: float) -> None:
         refresh = step_index % self._boundary_every == 0
-        for veh in self._chain:
-            arrivals = self.channel.deliver_to(veh.vid, now)
-            if veh.target is not None and veh.target in arrivals:
-                veh.est.last_target_beacon = arrivals[veh.target]
-                veh.last_arrival = now
-            veh.est.link_up = now - veh.last_arrival < self._link_window
-            follower = self._followers.get(veh.vid)
-            # An estimate is only consumed by a follower's inbox or by the
-            # vehicle's own chain role; a head with no follower drives free.
-            needs_estimate = follower is not None or veh.est.last_target_beacon is not None
-            # First estimate is built immediately so a newly formed chain
-            # does not idle until the next coarse prediction boundary.
-            if needs_estimate and (refresh or veh.est.own_estimate is None):
-                self._refresh_estimate(veh, now)
-            if follower is not None and veh.est.own_estimate is not None:
-                beacon = Beacon(
-                    sender=veh.vid,
-                    send_time=now,
-                    state=veh.state,
-                    estimate=veh.est.own_estimate,
-                )
-                self.channel.send(beacon, follower, now)
+        for order in self.orders.values():
+            for vid, follower in zip(order, [*order[1:], None]):
+                veh = self.vehicles[vid]
+                arrivals = self.channel.deliver_to(vid, now)
+                if veh.target is not None and veh.target in arrivals:
+                    veh.est.last_target_beacon = arrivals[veh.target]
+                    veh.last_arrival = now
+                veh.est.link_up = now - veh.last_arrival < self._link_window
+                # An estimate is only consumed by a follower's inbox or by the
+                # vehicle's own chain role; a head with no follower drives free.
+                needs_estimate = follower is not None or veh.est.last_target_beacon is not None
+                # First estimate is built immediately so a newly formed chain
+                # does not idle until the next coarse prediction boundary.
+                if needs_estimate and (refresh or veh.est.own_estimate is None):
+                    self._refresh_estimate(veh, now)
+                if follower is not None and veh.est.own_estimate is not None:
+                    beacon = Beacon(
+                        sender=vid,
+                        send_time=now,
+                        state=veh.state,
+                        estimate=veh.est.own_estimate,
+                    )
+                    self.channel.send(beacon, follower, now)
 
     def _refresh_estimate(self, veh: _SimVehicle, now: float) -> None:
         st = veh.est

@@ -241,8 +241,8 @@ def follower_estimate(
     """Full horizon of a follower from a freshly received target beacon.
 
     Each transition applies the consensus law to the previous-sample pair,
-    in the exact operation order of ``consensus_accel_raw``, and steps the
-    speed as the plant does, so the loop stays bit-compatible with both.
+    in the exact operation order of ``control.consensus_accel``, and steps
+    the speed as the plant does, so the loop stays bit-compatible with both.
     With ``implicit_solve`` the transition instead solves the published
     fixed-point form (next speed on both sides, follower position advanced)
     in closed form; it is config-gated for comparison and off by default.

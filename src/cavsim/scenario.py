@@ -4,12 +4,14 @@ Vehicles approach a shared crossing point from several legs. Each leg's
 position is projected onto a single virtual lane by distance to the
 crossing point, which turns the coordination problem into the one-lane
 string the controller expects. Crossing order is first-come-first-served
-by control-zone entry time, with vehicle id breaking ties.
+by control-zone entry time, with vehicle id breaking ties; the engine keeps
+it as one list of vehicle ids per intersection (``SimulationEngine.orders``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -159,34 +161,10 @@ def expand_random_spawns(
     return tuple(events)
 
 
-@dataclass
-class CrossingSequence:
-    """FCFS order of one intersection's coordinated vehicles."""
-
-    entries: list[tuple[float, VehicleId]] = field(default_factory=list)
-
-    def stamp(self, vehicle: VehicleId, entry_time: float) -> None:
-        if any(vid == vehicle for _, vid in self.entries):
-            return
-        self.entries.append((entry_time, vehicle))
-        self.entries.sort()
-
-    def remove(self, vehicle: VehicleId) -> None:
-        self.entries = [(t, vid) for t, vid in self.entries if vid != vehicle]
-
-    def order(self) -> list[VehicleId]:
-        return [vid for _, vid in self.entries]
-
-
-def assign_targets(sequence: CrossingSequence) -> dict[VehicleId, VehicleId | None]:
-    """Each vehicle's target is its immediate predecessor; the head has none."""
-    order = sequence.order()
-    targets: dict[VehicleId, VehicleId | None] = {}
-    prev: VehicleId | None = None
-    for vid in order:
-        targets[vid] = prev
-        prev = vid
-    return targets
+def assign_targets(order: list[VehicleId]) -> Iterator[tuple[VehicleId, VehicleId | None]]:
+    """(vehicle, target) over a crossing order: each vehicle's target is its
+    immediate predecessor; the head has none."""
+    return zip(order, [None, *order[:-1]])
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,37 @@ from __future__ import annotations
 import logging
 import math
 
-from cavsim.control import ControlGains, consensus_accel_raw
+from cavsim.control import ControlGains
 from cavsim.errors import NumericFault
 from cavsim.estimation import EstimatorParams
 from cavsim.types import TrajectoryEstimate
 
 log = logging.getLogger(__name__)
+
+
+def consensus_accel_raw(
+    r_i: float,
+    v_i: float,
+    r_j: float,
+    v_j: float,
+    l_j: float,
+    t_gap: float,
+    alpha: int,
+    k: float,
+    gamma: float,
+) -> float:
+    """Scalar form of the consensus law, in the operation order of
+    ``cavsim.control.consensus_accel``."""
+    if alpha == 0:
+        return 0.0
+    spacing = r_i - r_j + l_j + v_i * t_gap
+    accel = -alpha * k * (spacing + gamma * (v_i - v_j))
+    if not math.isfinite(accel):
+        raise NumericFault(
+            f"consensus law produced non-finite acceleration from "
+            f"r_i={r_i} v_i={v_i} r_j={r_j} v_j={v_j}"
+        )
+    return accel
 
 
 def step_speed(params: EstimatorParams, v: float, accel: float) -> float:
@@ -25,8 +50,6 @@ def step_speed(params: EstimatorParams, v: float, accel: float) -> float:
     Mirrors the plant's clamp expressions exactly so that estimator and
     plant transitions agree bit-for-bit.
     """
-    if params.limits is None:
-        return max(0.0, v + accel * params.prediction_step)
     limits = params.limits
     applied = min(max(accel, -limits.decel_max), limits.accel_max)
     return min(max(v + applied * params.prediction_step, 0.0), limits.speed_max)

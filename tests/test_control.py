@@ -1,17 +1,13 @@
 import logging
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from cavsim.control import (
-    ControlGains,
-    GainTable,
-    consensus_accel,
-    consensus_accel_raw,
-    lookup_gains,
-)
+from cavsim.control import ControlGains, GainTable, consensus_accel, lookup_gains
 from cavsim.errors import NumericFault
 from cavsim.types import TargetView, VehicleState
+
+from estimation_oracle import consensus_accel_raw
 
 GAINS = ControlGains(k=0.5, gamma=0.8, alpha=1)
 
@@ -54,6 +50,30 @@ class TestConsensusAccel:
     def test_non_finite_input_raises(self):
         with pytest.raises(NumericFault):
             consensus_accel(ego(float("nan"), 10.0), view(100.0, 10.0), GAINS)
+
+    def test_non_finite_law_output_raises(self):
+        # Finite inputs whose spacing overflows.
+        with pytest.raises(NumericFault, match="consensus law produced non-finite acceleration"):
+            consensus_accel(ego(1.0e308, 10.0), view(-1.0e308, 10.0), GAINS)
+
+    @given(
+        r_i=st.floats(-1.0e3, 1.0e3),
+        v_i=st.floats(0.0, 40.0),
+        r_j=st.floats(-1.0e3, 1.0e3),
+        v_j=st.floats(0.0, 40.0),
+        length=st.floats(1.0, 20.0),
+        t_gap=st.floats(0.1, 3.0),
+        k=st.floats(0.01, 5.0),
+        gamma=st.floats(0.0, 5.0),
+        alpha=st.sampled_from((0, 1)),
+    )
+    # Reassociating the spacing sum, (r_i + l) - r_j, changes this result's last bit.
+    @example(r_i=103.7, v_i=12.3, r_j=131.9, v_j=11.1, length=4.6, t_gap=1.5, k=0.5, gamma=0.8, alpha=1)
+    def test_matches_scalar_reference(self, r_i, v_i, r_j, v_j, length, t_gap, k, gamma, alpha):
+        gains = ControlGains(k=k, gamma=gamma, alpha=alpha)
+        out = consensus_accel(ego(r_i, v_i), view(r_j, v_j, length, t_gap), gains)
+        expected = consensus_accel_raw(r_i, v_i, r_j, v_j, length, t_gap, alpha, k, gamma)
+        assert out.hex() == expected.hex()
 
     @given(
         gap_err=st.floats(-30.0, 30.0),

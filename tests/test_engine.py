@@ -130,6 +130,125 @@ class TestStepSemantics:
         assert "step" in str(err.value)
 
 
+def _order_oracle(engine, iid):
+    """The crossing order as sorting defines it: entered, uncrossed vehicles
+    by (control-zone entry time, id)."""
+    return [
+        vid
+        for _, vid in sorted(
+            (veh.entry_time, vid)
+            for vid, veh in engine.vehicles.items()
+            if veh.intersection == iid and veh.entry_time is not None and not veh.crossed
+        )
+    ]
+
+
+def _two_intersection_nominal():
+    scenario = nominal_twenty()
+    second = dataclasses.replace(scenario.intersections[0], id="y")
+    return dataclasses.replace(
+        scenario,
+        intersections=(*scenario.intersections, second),
+        spawns=dataclasses.replace(
+            scenario.spawns,
+            random=dataclasses.replace(scenario.spawns.random, max_vehicles=40),
+        ),
+    )
+
+
+def _nominal_at_rate(rate):
+    scenario = nominal_twenty()
+    return dataclasses.replace(
+        scenario,
+        spawns=dataclasses.replace(
+            scenario.spawns,
+            random=dataclasses.replace(scenario.spawns.random, rate_per_leg=rate),
+        ),
+    )
+
+
+class TestCrossingOrder:
+    def test_same_step_entries_are_ordered_by_id(self):
+        # Vehicle 1 starts half a metre nearer the crossing point on another
+        # leg; both cross the control-zone edge on the same step.
+        spec = IntersectionSpec(
+            id="x", legs=(LegSpec("a", 400.0), LegSpec("b", 400.0)), control_zone_radius=150.0
+        )
+        scenario = ScenarioConfig(
+            engine=EngineConfig(sim_step=0.1, duration=2.0, seed=1),
+            channel=PERFECT_CHANNEL,
+            estimator=EstimatorSettings(prediction_step=0.1, horizon_s=5.0, v_target=10.0),
+            control=ControlConfig(),
+            intersections=(spec,),
+            spawns=SpawnPlan(
+                events=(
+                    SpawnEvent(time=0.0, intersection="x", leg="a", speed=10.0, start_offset=249.2),
+                    SpawnEvent(time=0.0, intersection="x", leg="b", speed=10.0, start_offset=249.7),
+                )
+            ),
+        )
+        entries = []
+
+        def probe(engine, now):
+            if engine.orders["x"] and not entries:
+                back, front = engine.vehicles[0], engine.vehicles[1]
+                assert back.entry_time == front.entry_time == now
+                assert front.state.position > back.state.position
+                assert engine.orders["x"] == [0, 1]
+                assert front.target == 0
+                entries.append(now)
+
+        run(scenario, on_step=probe)
+        assert entries
+
+    def test_vehicle_that_skips_the_control_zone_crosses_outside_any_order(self):
+        # At 20 m per step the vehicle goes from 5 m before the crossing
+        # point to 15 m past it, never within the 0.5 m control zone.
+        spec = IntersectionSpec(id="x", legs=(LegSpec("a", 10.0),), control_zone_radius=0.5)
+        scenario = ScenarioConfig(
+            engine=EngineConfig(sim_step=1.0, duration=3.0, seed=1),
+            channel=PERFECT_CHANNEL,
+            estimator=EstimatorSettings(prediction_step=1.0, horizon_s=5.0, v_target=20.0),
+            control=ControlConfig(),
+            intersections=(spec,),
+            spawns=SpawnPlan(
+                events=(SpawnEvent(time=0.0, intersection="x", leg="a", speed=20.0, start_offset=5.0),)
+            ),
+        )
+        result = run(scenario)
+        stats = result.summary["per_vehicle"]["0"]
+        assert stats["crossed"]
+        assert stats["entry_time_s"] is None
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [_nominal_at_rate(0.3), _two_intersection_nominal()],
+        ids=["nominal_rate_0.3", "nominal_two_intersections"],
+    )
+    def test_orders_match_the_sorted_definition_every_step(self, scenario):
+        longest = {spec.id: 0 for spec in scenario.intersections}
+
+        def probe(engine, now):
+            in_order = set()
+            for iid, order in engine.orders.items():
+                assert order == _order_oracle(engine, iid), (now, iid)
+                targets = [engine.vehicles[vid].target for vid in order]
+                assert targets == [None, *order][: len(order)], (now, iid)
+                longest[iid] = max(longest[iid], len(order))
+                in_order.update(order)
+            for vid, veh in engine.vehicles.items():
+                if vid not in in_order:
+                    assert veh.target is None, (now, vid)
+
+        result = run(scenario, on_step=probe)
+        # Chains formed and vehicles crossed (left their order) at every intersection.
+        assert all(n >= 3 for n in longest.values()), longest
+        crossed = {
+            stats["intersection"] for stats in result.summary["per_vehicle"].values() if stats["crossed"]
+        }
+        assert crossed == set(longest)
+
+
 class TestValidation:
     def test_incompatible_steps_rejected(self):
         scenario = perfect_two_vehicle()

@@ -490,7 +490,6 @@ class TestUpdateEstimates:
             vid=vid,
             intersection="x",
             state=state,
-            spawn_time=0.0,
             target=target,
             gains=GAINS if target is not None else None,
             est=EstimatorState(**est),

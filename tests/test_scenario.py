@@ -1,7 +1,6 @@
 import pytest
 
 from cavsim.scenario import (
-    CrossingSequence,
     IntersectionSpec,
     LegSpec,
     RandomSpawnSpec,
@@ -46,38 +45,22 @@ class TestProjection:
         assert SPEC.crossing_coord == 500.0
 
 
-class TestCrossingSequence:
-    def test_fcfs_with_id_tiebreak(self):
-        seq = CrossingSequence()
-        seq.stamp(7, 1.0)
-        seq.stamp(3, 0.5)
-        seq.stamp(9, 1.0)
-        assert seq.order() == [3, 7, 9]
-
-    def test_stamp_is_idempotent(self):
-        seq = CrossingSequence()
-        seq.stamp(1, 1.0)
-        seq.stamp(1, 2.0)
-        assert seq.entries == [(1.0, 1)]
-
+class TestAssignTargets:
     def test_targets_follow_predecessor(self):
-        seq = CrossingSequence()
-        for t, vid in [(0.0, 3), (1.0, 7), (2.0, 1)]:
-            seq.stamp(vid, t)
-        targets = assign_targets(seq)
-        assert targets == {3: None, 7: 3, 1: 7}
+        assert list(assign_targets([3, 7, 1])) == [(3, None), (7, 3), (1, 7)]
 
     def test_single_vehicle_is_leader(self):
-        seq = CrossingSequence()
-        seq.stamp(5, 0.0)
-        assert assign_targets(seq) == {5: None}
+        assert list(assign_targets([5])) == [(5, None)]
+
+    def test_empty_order_has_no_pairs(self):
+        assert list(assign_targets([])) == []
 
     def test_contraction_retargets(self):
-        seq = CrossingSequence()
-        for t, vid in [(0.0, 3), (1.0, 7), (2.0, 1)]:
-            seq.stamp(vid, t)
-        seq.remove(7)
-        assert assign_targets(seq) == {3: None, 1: 3}
+        order = [3, 7, 1]
+        order.remove(7)
+        assert list(assign_targets(order)) == [(3, None), (1, 3)]
+        order.remove(3)
+        assert list(assign_targets(order)) == [(1, None)]
 
 
 class TestSafetyCheck:
