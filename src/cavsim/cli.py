@@ -147,17 +147,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         steps = [float(s) for s in args.steps.split(",") if s.strip()]
     except ValueError:
-        print(f"invalid --steps list: {args.steps!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"invalid --steps list: {args.steps!r}") from None
     if not steps:
-        print("empty --steps list", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("empty --steps list")
     if not all(0 < step < float("inf") for step in steps):
-        print(
-            f"invalid --steps list: {args.steps!r}: steps must be finite and > 0",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
+        raise ConfigError(f"invalid --steps list: {args.steps!r}: steps must be finite and > 0")
     scenario = load_scenario(args.config, seed_override=args.seed)
     rows, results = sweep_prediction_step(scenario, steps)
     out_dir = Path(args.out)

@@ -8,10 +8,13 @@ of the stored number.
 
 The config dataclasses are the schema. A field's file key is its
 ``metadata["key"]`` (a field without one is not read from files), its kind
-is its annotation (float, int, bool, str, or a dataclass read as a nested
-section), and its default is the dataclass default, else
-``metadata["default"]``. ``_read`` reads every section from them; only the
-values that are not one number, bool or string have readers here.
+is its annotation, and its default is the dataclass default, else
+``metadata["default"]``. A kind is a scalar (float, int, bool or str), a
+dataclass read as a nested section, or a tuple read from a YAML list:
+``tuple[X, ...]`` takes any number of items and ``tuple[X, Y]`` exactly
+two, each item read as its own kind at ``path[i]``. A section in a list
+defaults its ``id`` to its position. ``_read`` reads every section from
+the schema; only defaults that depend on another section have readers here.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ import yaml
 from .control import GainTable
 from .engine import DEFAULT_GAINS, ControlConfig, ScenarioConfig
 from .errors import ConfigError
-from .network import ChannelModel
-from .scenario import IntersectionSpec, LegSpec, SpawnEvent, SpawnPlan
+from .scenario import IntersectionSpec, SpawnEvent, SpawnPlan
 
 # Read in place of an absent ``intersections`` section.
 _ONE_INTERSECTION = [{"id": "x", "legs": [{"id": "a"}]}]
@@ -75,12 +77,6 @@ def _mapping(raw: Any, path: str) -> Mapping[str, Any]:
     return raw
 
 
-def _list(raw: Any, path: str, expected: str, empty_ok: bool = True) -> list:
-    if not isinstance(raw, list) or not (raw or empty_ok):
-        raise ConfigError(f"{path}: expected {expected}")
-    return raw
-
-
 def _at(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
@@ -108,9 +104,10 @@ def _read(
     """An instance of the config dataclass ``cls`` from its section ``raw``.
 
     A key given in the file is read by ``readers[field name]`` if there is
-    one, else as its annotated kind (float, int, bool or str), else as a
-    nested section of the annotated dataclass; ``null`` on a field that may
-    be None means absent. An absent key takes ``defaults[field name]``
+    one, else by ``_value`` as its annotated kind: a scalar, a nested
+    section, or a list for a ``tuple[...]`` annotation, whose section items
+    default their ``id`` to their position. ``null`` on a field that may be
+    None means absent. An absent key takes ``defaults[field name]``
     (defaults that depend on where the section sits), then the field's own
     default; a field with neither is required.
     """
@@ -125,12 +122,8 @@ def _read(
         value = section.get(key)
         if value is not None or (key in section and not nullable):
             at = _at(path, key)
-            if f.name in readers:
-                kwargs[f.name] = readers[f.name](value, at)
-            elif kind in (float, int, bool, str):
-                kwargs[f.name] = _scalar(value, at, kind)
-            else:
-                kwargs[f.name] = _read(kind, value, at)
+            reader = readers.get(f.name)
+            kwargs[f.name] = reader(value, at) if reader else _value(kind, value, at)
         elif f.name in defaults:
             kwargs[f.name] = defaults[f.name]
         elif "default" in f.metadata:
@@ -143,48 +136,25 @@ def _read(
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _nlos_windows(raw: Any, path: str) -> tuple[tuple[float, float], ...]:
-    windows = []
-    for i, win in enumerate(_list(raw, path, "a list of [start, end]")):
-        if not isinstance(win, (list, tuple)) or len(win) != 2:
-            raise ConfigError(f"{path}[{i}]: expected [start_s, end_s]")
-        windows.append((_number(win[0], f"{path}[{i}][0]"), _number(win[1], f"{path}[{i}][1]")))
-    return tuple(windows)
-
-
-def _numbers(raw: Any, path: str, kind: type = float, expected: str = "a list of numbers"):
-    values = _list(raw, path, expected)
-    return tuple(_number(v, f"{path}[{n}]", kind) for n, v in enumerate(values))
-
-
-_vehicle_ids = functools.partial(_numbers, kind=int, expected="a list of vehicle ids")
-_channel = functools.partial(
-    _read, ChannelModel, nlos_windows=_nlos_windows, impaired_vehicles=_vehicle_ids
-)
-
-
-def _gain_entries(raw: Any, path: str):
-    def gains(pair: Any, at: str) -> tuple[float, float]:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError(f"{at}: expected [k, gamma]")
-        return _number(pair[0], f"{at}[0]"), _number(pair[1], f"{at}[1]")
-
-    try:
-        return tuple(
-            tuple(
-                tuple(gains(pair, f"{path}[{p}][{r}][{c}]") for c, pair in enumerate(row))
-                for r, row in enumerate(plane)
-            )
-            for p, plane in enumerate(raw)
-        )
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ConfigError(f"{path}: malformed ({exc})") from exc
-
-
-_gain_table = functools.partial(
-    _read, GainTable, v_i_edges=_numbers, v_j_edges=_numbers, headway_edges=_numbers,
-    entries=_gain_entries,
-)
+def _value(kind, raw: Any, path: str, item_defaults: Mapping[str, Any] | None = None):
+    """``raw`` read as ``kind``: a scalar, a section with the defaults
+    ``item_defaults``, or a list for a tuple kind, whose item ``i`` is read
+    at ``path[i]`` with ``item_defaults`` and the ``id`` ``str(i)``."""
+    if kind in (float, int, bool, str):
+        return _scalar(raw, path, kind)
+    if typing.get_origin(kind) is not tuple:
+        return _read(kind, raw, path, item_defaults)
+    kinds = typing.get_args(kind)
+    if kinds[-1] is Ellipsis:
+        if not isinstance(raw, list):
+            raise ConfigError(f"{path}: expected a list")
+        kinds = kinds[:1] * len(raw)
+    elif not isinstance(raw, list) or len(raw) != len(kinds):
+        raise ConfigError(f"{path}: expected a list of {len(kinds)}")
+    return tuple(
+        _value(k, item, f"{path}[{i}]", {**(item_defaults or {}), "id": str(i)})
+        for i, (k, item) in enumerate(zip(kinds, raw))
+    )
 
 
 def _control(raw: Any, path: str) -> ControlConfig:
@@ -194,41 +164,27 @@ def _control(raw: Any, path: str) -> ControlConfig:
     k, gamma = (_number(section.pop(key, v), f"{path}.{key}") for key, v in DEFAULT_GAINS.items())
     if section.get("gain_table") is None:
         section.pop("gain_table", None)
-    single = {"gain_table": GainTable.single(k, gamma)}
-    return _read(ControlConfig, section, path, single, gain_table=_gain_table)
-
-
-def _legs(raw: Any, path: str) -> tuple[LegSpec, ...]:
-    legs = _list(raw, path, "a non-empty list", empty_ok=False)
-    return tuple(_read(LegSpec, leg, f"{path}[{j}]", {"id": str(j)}) for j, leg in enumerate(legs))
-
-
-def _intersections(raw: Any, path: str) -> tuple[IntersectionSpec, ...]:
-    items = _list(raw, path, "a non-empty list", empty_ok=False)
-    return tuple(
-        _read(IntersectionSpec, item, f"{path}[{i}]", {"id": str(i)}, legs=_legs)
-        for i, item in enumerate(items)
-    )
+    return _read(ControlConfig, section, path, {"gain_table": GainTable.single(k, gamma)})
 
 
 def parse_scenario(raw: Mapping[str, Any]) -> ScenarioConfig:
     """Build and cross-validate a ScenarioConfig from a parsed mapping."""
     if not isinstance(raw, Mapping):
         raise ConfigError("top level: expected a mapping of sections")
-    # Read ahead of the other sections: spawn events default to the first.
-    intersections = _intersections(raw.get("intersections", _ONE_INTERSECTION), "intersections")
+    # Read ahead of the other sections: spawn events default to the first,
+    # so there must be one before they are read.
+    intersections = _value(
+        tuple[IntersectionSpec, ...], raw.get("intersections", _ONE_INTERSECTION), "intersections"
+    )
+    if not intersections:
+        raise ConfigError("intersections: at least one intersection required")
     first = {"intersection": intersections[0].id}
-
-    def events(items: Any, path: str) -> tuple[SpawnEvent, ...]:
-        items = _list(items, path, "a list")
-        return tuple(_read(SpawnEvent, e, f"{path}[{i}]", first) for i, e in enumerate(items))
-
+    events = functools.partial(_value, tuple[SpawnEvent, ...], item_defaults=first)
     scenario = _read(
         ScenarioConfig,
         raw,
         "",
         {"intersections": intersections},
-        channel=_channel,
         control=_control,
         intersections=lambda _raw, _path: intersections,
         spawns=lambda section, path: _read(SpawnPlan, section, path, events=events),

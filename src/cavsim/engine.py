@@ -466,18 +466,10 @@ class SimulationEngine:
 
     def _record(self, result: RunResult, step_index: int, now: float) -> None:
         record_rows = step_index % self.scenario.engine.record_every == 0
-        for iid, spec in self.intersections.items():
-            states = {
-                veh.vid: veh.state
-                for veh in self.vehicles.values()
-                if veh.intersection == iid
-            }
-            for violation in safety_check(states, spec):
-                result.violations.append(
-                    (now, violation.kind, violation.vehicle_a, violation.vehicle_b, violation.detail)
-                )
+        states: dict[str, dict[VehicleId, VehicleState]] = {iid: {} for iid in self.intersections}
         for vid, veh in self.vehicles.items():
             state = veh.state
+            states[veh.intersection][vid] = state
             if veh.entry_time is not None and not veh.crossed:
                 veh.min_speed = min(veh.min_speed, state.speed)
                 if state.speed < FULL_STOP_SPEED:
@@ -511,6 +503,11 @@ class SimulationEngine:
                         err,
                         link_up,
                     )
+                )
+        for iid, spec in self.intersections.items():
+            for violation in safety_check(states[iid], spec):
+                result.violations.append(
+                    (now, violation.kind, violation.vehicle_a, violation.vehicle_b, violation.detail)
                 )
 
     # -- main loop ------------------------------------------------------

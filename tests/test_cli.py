@@ -333,6 +333,6 @@ class TestOutOfRangeValues:
     )
     def test_gain_pair_needs_exactly_two_numbers(self, pair):
         with pytest.raises(
-            ConfigError, match=r"^control\.gain_table\.entries\[0\]\[0\]\[0\]: expected \[k, gamma\]$"
+            ConfigError, match=r"^control\.gain_table\.entries\[0\]\[0\]\[0\]: expected a list of 2$"
         ):
             parse_scenario({"control": {"gain_table": {"entries": [[[pair]]]}}})

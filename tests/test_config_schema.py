@@ -9,6 +9,7 @@ dataclasses became the schema.
 import copy
 import dataclasses
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -225,3 +226,40 @@ def test_unkeyed_field_is_not_a_file_key():
     # ChannelModel.seed comes from engine.seed, never from the channel section.
     with pytest.raises(ConfigError, match=r"^channel\.seed: unknown key$"):
         parse_scenario({"channel": {"seed": 3}})
+
+
+def list_keys(cls=ScenarioConfig, path=()):
+    """Document path of every keyed field annotated ``tuple[...]``, walking
+    nested sections and the first item of each list of sections."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if "key" not in f.metadata:
+            continue
+        kind = hints[f.name]
+        if type(None) in typing.get_args(kind):
+            kind = typing.get_args(kind)[0]
+        here = (*path, f.metadata["key"])
+        if typing.get_origin(kind) is tuple:
+            yield here
+            kind, here = typing.get_args(kind)[0], (*here, 0)
+        if dataclasses.is_dataclass(kind):
+            yield from list_keys(kind, here)
+
+
+def text_path(path) -> str:
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
+def test_list_keys_walk_reaches_every_section():
+    # Guards the walk: the channel, gain-table, intersection, leg and spawn lists.
+    assert len(list(list_keys())) >= 9
+
+
+@pytest.mark.parametrize("path", list_keys(), ids=text_path)
+@pytest.mark.parametrize("value", [{"a": 1}, "a", 3], ids=["mapping", "string", "number"])
+def test_list_key_rejects_a_non_list_at_its_path(path, value):
+    # every_section.yaml sets every key, so each list-valued key is present.
+    doc = yaml.safe_load((DATA / "every_section.yaml").read_text(encoding="utf-8"))
+    node_at(doc, path[:-1])[path[-1]] = value
+    with pytest.raises(ConfigError, match=rf"^{re.escape(text_path(path))}: expected a list$"):
+        parse_scenario(doc)
