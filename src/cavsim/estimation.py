@@ -20,9 +20,19 @@ consensus law to the previous-sample pair of both vehicles, which makes the
 one-step-ahead estimate bit-identical to the plant under zero delay, zero
 loss, and matching steps.
 
+A wide chain refreshed on a channel that neither delays nor drops can
+compute all its followers' horizons in one pass (``chain_follower_horizons``):
+each follower then consumes its target's horizon of the same step, so
+transition k of every follower needs only sample k-1 of its target, and
+one loop over the samples steps the whole chain as one vector. Every
+vector operation is the scalar loop's operation in the same order, with
+the lower speed clamp as a masked copy that keeps -0.0 as the branch does,
+so each horizon is byte-identical to ``follower_estimate``'s. The engine
+decides when to use it (see ``engine.CHAIN_BATCH_MIN``).
+
 The scalar per-sample forms of delay compensation and the follower
-transition live in the test suite as the reference oracle; tests pin both
-recursions here to them bit for bit.
+transition live in the test suite as the reference oracle; tests pin the
+recursions here, the batched one included, to them bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -306,6 +316,102 @@ def follower_estimate(
         anchor_position=own.position,
         speeds=tuple(speeds),
         positions=tuple(positions),
+    )
+
+
+def chain_follower_horizons(
+    now: SimTime,
+    beacon: Beacon,
+    followers: Sequence[tuple[VehicleState, ControlGains]],
+    t_gap: float,
+    params: EstimatorParams,
+) -> Iterator[TrajectoryEstimate | None]:
+    """Explicit-form horizons of a chain of followers refreshed at ``now``.
+
+    Follower 1 follows ``beacon``; follower i+1 follows follower i's horizon
+    of this step, whose age is 0, so its samples are the targets as they are.
+    Transition k of every follower then needs only sample k-1 of its target,
+    and one loop over the samples steps the whole chain as one vector, in
+    the operation order of ``follower_estimate``'s explicit branch. Each
+    result equals the estimate ``follower_estimate`` returns for that
+    follower from the previous follower's, bit for bit.
+
+    The estimates come in chain order and each is built when it is asked
+    for, so a chain's old and new horizons are not all alive at once. A
+    follower whose final sample is not finite gets None: its scalar refresh
+    raises the NumericFault.
+    """
+    n = params.horizon_len
+    m = len(followers)
+    dt = params.prediction_step
+    v_adj, r_adj = _compensated_target_arrays(
+        beacon.estimate, now - beacon.estimate.anchor_time, n, dt
+    )
+    # Row k holds sample k, column 0 the first target's compensated samples
+    # and column i follower i's, so row k's targets are the view [k, :-1].
+    speeds = np.empty((n + 1, m + 1))
+    positions = np.empty((n + 1, m + 1))
+    speeds[:n, 0] = v_adj
+    positions[:n, 0] = r_adj
+    speeds[0, 1:] = [state.speed for state, _ in followers]
+    positions[0, 1:] = [state.position for state, _ in followers]
+    l_target = np.array([beacon.state.length, *(state.length for state, _ in followers[:-1])])
+    neg_gain = np.array([-float(gains.alpha) * gains.k for _, gains in followers])
+    gamma = np.array([gains.gamma for _, gains in followers])
+    neg_decel = -params.limits.decel_max
+    accel_max = params.limits.accel_max
+    speed_max = params.limits.speed_max
+    accel = np.empty(m)
+    term = np.empty(m)
+    below_zero = np.empty(m, dtype=bool)
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    maximum, minimum, less = np.maximum, np.minimum, np.less
+    # A diverging row is left to the scalar path, which raises; until then
+    # the overflow must not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Row k's followers and their targets, then row k+1's followers.
+        for v, r, v_t, r_t, v_next, r_next in zip(
+            speeds[:-1, 1:],
+            positions[:-1, 1:],
+            speeds[:-1, :-1],
+            positions[:-1, :-1],
+            speeds[1:, 1:],
+            positions[1:, 1:],
+        ):
+            # spacing = r - r_t + l_target + v * t_gap
+            subtract(r, r_t, accel)
+            add(accel, l_target, accel)
+            multiply(v, t_gap, term)
+            add(accel, term, accel)
+            # accel = neg_gain * (spacing + gamma * (v - v_t))
+            subtract(v, v_t, term)
+            multiply(term, gamma, term)
+            add(accel, term, accel)
+            multiply(accel, neg_gain, accel)
+            # Both bounds are non-zero, so max/min equal the scalar branches.
+            maximum(accel, neg_decel, out=accel)
+            minimum(accel, accel_max, out=accel)
+            multiply(v, dt, r_next)
+            add(r_next, r, r_next)
+            multiply(accel, dt, accel)
+            add(v, accel, v_next)
+            # A masked copy keeps -0.0 as `if v < 0.0` does; maximum would not.
+            less(v_next, 0.0, below_zero)
+            v_next[below_zero] = 0.0
+            minimum(v_next, speed_max, out=v_next)
+    finite = np.isfinite(speeds[n, 1:]) & np.isfinite(positions[n, 1:])
+    return (
+        TrajectoryEstimate(
+            anchor_time=now,
+            step=dt,
+            anchor_speed=state.speed,
+            anchor_position=state.position,
+            speeds=tuple(speeds[1:, i].tolist()),
+            positions=tuple(positions[1:, i].tolist()),
+        )
+        if finite[i - 1]
+        else None
+        for i, (state, _) in enumerate(followers, start=1)
     )
 
 

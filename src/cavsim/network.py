@@ -128,14 +128,14 @@ def transmit(
             return DROPPED
         if channel.burst is not None:
             if stream.in_bad_state:
-                if stream.rng.uniform() < channel.burst.p_bad_to_good:
+                if stream.rng.random() < channel.burst.p_bad_to_good:
                     stream.in_bad_state = False
                 else:
                     return DROPPED
-            elif stream.rng.uniform() < channel.burst.p_good_to_bad:
+            elif stream.rng.random() < channel.burst.p_good_to_bad:
                 stream.in_bad_state = True
                 return DROPPED
-        if stream.rng.uniform() < channel.loss_prob:
+        if stream.rng.random() < channel.loss_prob:
             return DROPPED
     tau = channel.delay_mean + channel.delay_std * stream.rng.standard_normal()
     return now + max(0.0, tau)

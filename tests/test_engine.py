@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import struct
 
 import pytest
 
+import cavsim.engine as engine_module
 from cavsim.cli import write_metrics_csv, write_trajectory_csv
 from cavsim.control import GainTable
 from cavsim.engine import (
@@ -22,6 +24,7 @@ from conftest import (
     nominal_twenty,
     paper_stress,
     perfect_two_vehicle,
+    timing_bench,
     with_seed,
 )
 
@@ -351,3 +354,99 @@ def test_implicit_solve_whole_run(tmp_path):
 
     assert csv_bytes(first, "first") == csv_bytes(run(implicit), "replay")
     assert first.trajectory != run(explicit).trajectory
+
+
+
+def _bits(*values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _ideal_chain(sim_step):
+    """150 vehicles in one crossing order on an ideal channel, 400-sample horizons."""
+    base = timing_bench(duration=0.5)
+    return dataclasses.replace(base, engine=dataclasses.replace(base.engine, sim_step=sim_step))
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(engine_module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(engine_module, name, counted)
+    return calls
+
+
+class TestBatchedChainHorizons:
+    """On an ideal channel a crossing order of at least ``CHAIN_BATCH_MIN``
+    vehicles gets its followers' horizons from one vectorised pass; the run
+    must equal the one-by-one pass bit for bit."""
+
+    @staticmethod
+    def _record(scenario, tmp_path, name, monkeypatch):
+        steps = []
+
+        def probe(engine, now):
+            steps.append({
+                vid: (
+                    _bits(veh.state.speed, veh.state.position),
+                    est and _bits(est.anchor_time, est.anchor_speed, est.anchor_position,
+                                  *est.speeds, *est.positions),
+                )
+                for vid, veh in engine.vehicles.items()
+                for est in [veh.est.own_estimate]
+            })
+
+        with monkeypatch.context() as m:
+            calls = _count_calls(m, "chain_follower_horizons", "follower_estimate")
+            result = run(scenario, on_step=probe)
+        write_trajectory_csv(tmp_path / f"{name}_trajectory.csv", result)
+        write_metrics_csv(tmp_path / f"{name}_metrics.csv", result)
+        summary = dict(result.summary)
+        del summary["mean_step_wallclock_ms"]
+        outputs = (
+            (tmp_path / f"{name}_trajectory.csv").read_bytes(),
+            (tmp_path / f"{name}_metrics.csv").read_bytes(),
+            result.violations,
+            summary,
+        )
+        return steps, outputs, calls
+
+    @pytest.mark.parametrize("sim_step", [0.02, 0.1])
+    def test_batched_run_equals_scalar_run(self, sim_step, tmp_path, monkeypatch):
+        scenario = _ideal_chain(sim_step)
+        width = len(scenario.spawns.events)
+        assert width >= engine_module.CHAIN_BATCH_MIN
+        batched, batched_out, batched_calls = self._record(
+            scenario, tmp_path, "batched", monkeypatch
+        )
+        monkeypatch.setattr(engine_module, "CHAIN_BATCH_MIN", width + 1)
+        scalar, scalar_out, scalar_calls = self._record(scenario, tmp_path, "scalar", monkeypatch)
+        # 0.5 s holds five 0.1 s prediction boundaries: one kernel call each,
+        # and every follower takes its row. Without the batch every follower
+        # refreshes one by one.
+        assert batched_calls == {"chain_follower_horizons": 5, "follower_estimate": 0}
+        assert scalar_calls == {"chain_follower_horizons": 0, "follower_estimate": 5 * (width - 1)}
+        assert batched == scalar
+        assert batched_out == scalar_out
+
+    def test_one_step_ahead_estimate_is_the_plant(self, monkeypatch):
+        # Criterion 1 on the batched chain: at matching steps every vehicle's
+        # first horizon sample is its next plant state, bit for bit.
+        calls = _count_calls(monkeypatch, "chain_follower_horizons")
+        captures = []
+
+        def probe(engine, now):
+            captures.append(
+                {vid: (veh.state, veh.est.own_estimate) for vid, veh in engine.vehicles.items()}
+            )
+
+        run(_ideal_chain(0.1), on_step=probe)
+        assert calls["chain_follower_horizons"] == len(captures) == 5
+        checked = 0
+        for before, after in zip(captures, captures[1:]):
+            for vid, (_, est) in before.items():
+                state = after[vid][0]
+                assert _bits(est.speeds[0], est.positions[0]) == _bits(state.speed, state.position)
+                checked += 1
+        assert checked == 150 * 4

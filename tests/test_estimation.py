@@ -1,6 +1,7 @@
 import logging
 import math
 import struct
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from cavsim.errors import ColdStart, NumericFault
 from cavsim.estimation import (
     EstimatorParams,
     EstimatorState,
+    chain_follower_horizons,
     follower_estimate,
     idm_free_accel,
     integrate_position,
@@ -408,6 +410,94 @@ class TestFollowerEstimateEquivalence:
         v_adj, r_adj = compensate_delay(est, 1, 0.1, p)
         assert r_adj == pytest.approx(101.0, abs=1e-12)
         assert out.anchor_time == 1.1
+
+
+# Speeds with both zeros, which the speed clamps must keep apart.
+SPEEDS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 20.0))
+
+
+@st.composite
+def chain_case(draw):
+    """A received target horizon and a chain of 1-8 followers behind it.
+
+    A follower at -0.0 m/s that touches its target (gap 0) gets accel -0.0
+    and keeps -0.0, which only the masked lower speed clamp preserves. Such a
+    follower has ``alpha = 1``: with ``alpha = 0`` the horizon loops compute
+    -0.0 * 0.0 where the oracle and the plant's consensus law return 0.0.
+    """
+    n = draw(st.integers(1, 12))
+    # Shorter than our horizon exercises the padding branch.
+    n_target = draw(st.integers(1, n))
+    anchor_speed = draw(SPEEDS)
+    speeds = []
+    v = anchor_speed
+    for d in draw(st.lists(st.floats(-0.4, 0.4), min_size=n_target, max_size=n_target)):
+        v = max(0.0, v + d)
+        speeds.append(v)
+    head_r = draw(st.floats(-50.0, 50.0))
+    target = estimate_from(speeds, anchor_time=1.0, anchor_speed=anchor_speed, anchor_position=head_r)
+    # Aged 0, below one prediction step, and beyond it.
+    tau = draw(st.sampled_from([0.0, 0.03, 0.25, 1.3]))
+    followers = []
+    r, length = head_r, 5.0
+    for _ in range(draw(st.integers(1, 8))):
+        gap = draw(st.one_of(st.just(0.0), st.floats(1.0, 40.0)))
+        r -= length + gap
+        length = draw(st.floats(3.0, 6.0))
+        gains = ControlGains(
+            k=draw(st.floats(0.1, 2.0)),
+            gamma=draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
+            alpha=draw(st.sampled_from([0, 1])) if gap else 1,
+        )
+        followers.append((vstate(r=r, v=draw(SPEEDS), length=length), gains))
+    return target, tau, n, followers
+
+
+class TestChainFollowerHorizons:
+    @LIMIT_CASES
+    @given(case=chain_case())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_matches_scalar_chain_and_oracle(self, limits, case):
+        target, tau, n, followers = case
+        p = params(horizon_len=n, limits=limits)
+        now = target.anchor_time + tau
+        beacon = Beacon(sender=0, send_time=now, state=vstate(r=target.anchor_position),
+                        estimate=target)
+        rows = list(chain_follower_horizons(now, beacon, followers, 1.5, p))
+        assert len(rows) == len(followers)
+        # The oracle composes each transition from compensate_delay and
+        # predict_follower_speed; follower i+1's target is follower i's
+        # horizon of the same step, aged 0.
+        oracle_target, oracle_tau, l_target = target, now - target.anchor_time, 5.0
+        for (own, gains), row in zip(followers, rows):
+            scalar = follower_estimate(now, own, beacon, gains, 1.5, p)
+            expected = follower_speeds(
+                own.speed, own.position, oracle_target, oracle_tau, gains, l_target, 1.5, p
+            )
+            expected_positions = integrate_position(own.position, own.speed, expected, 0.1)
+            assert bits(row.speeds) == bits(scalar.speeds) == bits(expected)
+            assert bits(row.positions) == bits(scalar.positions) == bits(expected_positions)
+            assert (row.anchor_time, row.step) == (scalar.anchor_time, scalar.step)
+            assert bits([row.anchor_speed, row.anchor_position]) == bits([own.speed, own.position])
+            beacon = Beacon(sender=1, send_time=now, state=own, estimate=scalar)
+            oracle_target = estimate_from(
+                expected, anchor_time=now, anchor_speed=own.speed, anchor_position=own.position
+            )
+            oracle_tau, l_target = 0.0, own.length
+
+    def test_non_finite_row_is_left_to_the_scalar_path(self):
+        # Follower 1's position overflows in its first transition: its
+        # scalar refresh raises, and the kernel hands back None for it.
+        p = params(horizon_len=5)
+        target = estimate_from([10.0] * 5, anchor_speed=10.0, anchor_position=1.79e308)
+        beacon = Beacon(sender=0, send_time=0.0, state=vstate(r=1.79e308), estimate=target)
+        followers = [(vstate(r=1.75e308, v=1e308), GAINS), (vstate(r=1.7e308), GAINS)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first, _ = chain_follower_horizons(0.0, beacon, followers, 1.5, p)
+        assert first is None
+        with pytest.raises(NumericFault):
+            follower_estimate(0.0, followers[0][0], beacon, GAINS, 1.5, p)
 
 
 class TestHoldAndShift:

@@ -90,6 +90,30 @@ class TestTransmit:
         assert second == 0.1                    # bad -> good, delivered
 
 
+def reference_transmit(channel, b, now, stream, receiver):
+    """``transmit`` drawing its loss decisions with ``uniform()``.
+
+    numpy computes ``uniform(0, 1)`` as ``0 + 1 * next_double``, which is the
+    double ``random()`` returns, so both forms decide every beacon alike.
+    """
+    if channel.link_impaired(b.sender, receiver):
+        if channel.in_nlos(now):
+            return DROPPED
+        if channel.burst is not None:
+            if stream.in_bad_state:
+                if stream.rng.uniform() < channel.burst.p_bad_to_good:
+                    stream.in_bad_state = False
+                else:
+                    return DROPPED
+            elif stream.rng.uniform() < channel.burst.p_good_to_bad:
+                stream.in_bad_state = True
+                return DROPPED
+        if stream.rng.uniform() < channel.loss_prob:
+            return DROPPED
+    tau = channel.delay_mean + channel.delay_std * stream.rng.standard_normal()
+    return now + max(0.0, tau)
+
+
 class ReferenceChannel:
     """The channel as a single in-flight queue (reference oracle).
 
@@ -98,7 +122,7 @@ class ReferenceChannel:
     per-receiver buffers that keep the freshest beacon per sender; the polled
     receiver then takes its buffer, minus beacons no newer than one it
     already consumed on that link. Link randomness comes from the same
-    ``link_stream``/``transmit`` pair as ``V2XChannel``.
+    ``link_stream`` as ``V2XChannel``, drawn by ``reference_transmit``.
     """
 
     def __init__(self, model):
@@ -113,7 +137,7 @@ class ReferenceChannel:
         key = (b.sender, receiver)
         if key not in self.streams:
             self.streams[key] = link_stream(self.model, *key)
-        result = transmit(self.model, b, now, self.streams[key], receiver)
+        result = reference_transmit(self.model, b, now, self.streams[key], receiver)
         if isinstance(result, Dropped):
             return False
         entry = (result, b.sender, b.send_time, next(self.sent), receiver, b)
@@ -222,12 +246,17 @@ vehicle = st.integers(0, 3)
     ),
     seed=st.integers(0, 2**16),
     delay_mean=st.sampled_from([0.0, 0.05, 0.15]),
+    burst=st.sampled_from([None, BurstLossModel(p_good_to_bad=0.3, p_bad_to_good=0.5)]),
+    nlos_windows=st.sampled_from([(), ((1.0, 1.5),)]),
 )
-def test_channel_matches_reference(schedule, seed, delay_mean):
+def test_channel_matches_reference(schedule, seed, delay_mean, burst, nlos_windows):
     """Delays up to several steps reorder deliveries, and each step polls only
     the listed receivers (any order, repeats allowed), so beacons wait
     across steps for receivers that are not polled."""
-    model = ChannelModel(delay_mean=delay_mean, delay_std=0.1, loss_prob=0.2, seed=seed)
+    model = ChannelModel(
+        delay_mean=delay_mean, delay_std=0.1, loss_prob=0.2, seed=seed,
+        burst=burst, nlos_windows=nlos_windows,
+    )
     channels = both(model)
     for k, (sends, polls) in enumerate(schedule):
         now = k * 0.1
@@ -237,6 +266,13 @@ def test_channel_matches_reference(schedule, seed, delay_mean):
             deliver_both(channels, receiver, now)
     for receiver in range(4):
         deliver_both(channels, receiver, math.inf)
+
+
+def test_random_draws_the_double_uniform_draws():
+    # transmit's loss draws rest on this: both consume one double per call.
+    a = link_stream(ChannelModel(seed=3), 0, 1).rng
+    b = link_stream(ChannelModel(seed=3), 0, 1).rng
+    assert [a.uniform() for _ in range(10_000)] == [b.random() for _ in range(10_000)]
 
 
 def test_channel_model_validation():
