@@ -298,10 +298,9 @@ class SimulationEngine:
         # row: explicit form, and a channel that neither delays nor drops.
         self._batch_chains = (
             not self.params.implicit_solve
-            and channel_model.delay_mean == channel_model.delay_std == 0
-            and channel_model.loss_prob == 0
+            and channel_model.draws_nothing
+            and channel_model.delay_mean == 0
             and not channel_model.nlos_windows
-            and channel_model.burst is None
         )
 
     # -- phase 1 -------------------------------------------------------

@@ -3,7 +3,7 @@
 Each vehicle predicts its own motion over a horizon of N samples spaced
 ``prediction_step`` apart and broadcasts the result. There is one
 forward-Euler recursion per vehicle role. A chain leader predicts free
-driving toward a preset target speed (``predict_leader_speed``); a follower
+driving toward a preset target speed (``_leader_horizon``); a follower
 propagates the consensus law along the horizon using its target's latest
 broadcast, compensated for the age of the received horizon
 (``follower_estimate``). When no beacon arrives, the previous estimate is
@@ -30,6 +30,14 @@ the lower speed clamp as a masked copy that keeps -0.0 as the branch does,
 so each horizon is byte-identical to ``follower_estimate``'s. The engine
 decides when to use it (see ``engine.CHAIN_BATCH_MIN``).
 
+Horizons are tuples of Python floats, except the chain kernel's, which are
+read-only float64 views into its sample arrays (no per-sample float is
+allocated for a wide chain). Readers go through
+``TrajectoryEstimate.speed_at``/``position_at``, which return Python floats,
+or hand the sequence to numpy, as ``_compensated_target_arrays`` does; the
+held shift turns a view into Python floats before it builds its estimate,
+so no numpy scalar reaches an output row.
+
 The scalar per-sample forms of delay compensation and the follower
 transition live in the test suite as the reference oracle; tests pin the
 recursions here, the batched one included, to them bit for bit.
@@ -40,6 +48,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -122,36 +131,58 @@ def idm_free_accel(v: float, params: EstimatorParams) -> float:
 
 
 def predict_leader_speed(params: EstimatorParams, v_now: float) -> list[float]:
-    """Speed horizon of a vehicle with no target, converging to v_target.
+    """Speed horizon of a vehicle with no target: ``_leader_horizon``'s speeds."""
+    if v_now < 0:
+        raise ValueError("v_now must be >= 0")
+    return _leader_horizon(params, v_now, 0.0)[0]
+
+
+def _leader_horizon(
+    params: EstimatorParams, v_now: float, r_now: float
+) -> tuple[list[float], list[float]]:
+    """Speeds and positions of a vehicle with no target, converging to v_target.
 
     Recursion: v[k] = v[k-1] + a_max * (1 - (v[k-1]/v_target)^sigma) * dt,
     with the acceleration and the speed clamped exactly as the plant clamps
-    them, and v[0] = v_now.
+    them, and v[0] = v_now; positions follow ``integrate_position``'s
+    pre-update convention from r[0] = r_now. The next speed is a function
+    of the previous one alone, so once a step returns its input (the same
+    bits: -0.0 and 0.0 are not equated) every later speed is that float and
+    every later position advances by the same ``v * dt``; the loop stops
+    there and fills the rest, bit for bit what it would have computed.
     """
-    if v_now < 0:
-        raise ValueError("v_now must be >= 0")
     a_max = params.a_max
     sigma = params.sigma
     v_target = params.v_target
     dt = params.prediction_step
+    n = params.horizon_len
     neg_decel = -params.limits.decel_max
     accel_max = params.limits.accel_max
     speed_max = params.limits.speed_max
     speeds: list[float] = []
+    positions: list[float] = []
     v = v_now
-    for _ in range(params.horizon_len):
+    r = r_now
+    for k in range(n):
+        r = r + v * dt
         accel = a_max * (1.0 - (v / v_target) ** sigma)
         if accel < neg_decel:
             accel = neg_decel
         elif accel > accel_max:
             accel = accel_max
-        v = v + accel * dt
-        if v < 0.0:
-            v = 0.0
-        elif v > speed_max:
-            v = speed_max
-        speeds.append(v)
-    return speeds
+        v_next = v + accel * dt
+        if v_next < 0.0:
+            v_next = 0.0
+        elif v_next > speed_max:
+            v_next = speed_max
+        if v_next == v and math.copysign(1.0, v_next) == math.copysign(1.0, v):
+            speeds.extend(repeat(v, n - k))
+            positions.extend(accumulate(repeat(v * dt, n - k - 1), initial=r))
+            break
+        speeds.append(v_next)
+        positions.append(r)
+        v = v_next
+    return speeds, positions
 
 
 def integrate_position(
@@ -337,9 +368,10 @@ def chain_follower_horizons(
     follower from the previous follower's, bit for bit.
 
     The estimates come in chain order and each is built when it is asked
-    for, so a chain's old and new horizons are not all alive at once. A
-    follower whose final sample is not finite gets None: its scalar refresh
-    raises the NumericFault.
+    for. Their samples are read-only column views of the pass's two sample
+    arrays, which the whole chain's estimates share, so a refresh allocates
+    no per-sample Python float. A follower whose final sample is not finite
+    gets None: its scalar refresh raises the NumericFault.
     """
     n = params.horizon_len
     m = len(followers)
@@ -400,14 +432,17 @@ def chain_follower_horizons(
             v_next[below_zero] = 0.0
             minimum(v_next, speed_max, out=v_next)
     finite = np.isfinite(speeds[n, 1:]) & np.isfinite(positions[n, 1:])
+    # Views taken after this are read-only; the estimates share the arrays.
+    speeds.flags.writeable = False
+    positions.flags.writeable = False
     return (
         TrajectoryEstimate(
             anchor_time=now,
             step=dt,
             anchor_speed=state.speed,
             anchor_position=state.position,
-            speeds=tuple(speeds[1:, i].tolist()),
-            positions=tuple(positions[1:, i].tolist()),
+            speeds=speeds[1:, i],
+            positions=positions[1:, i],
         )
         if finite[i - 1]
         else None
@@ -419,8 +454,15 @@ def leader_estimate(
     now: SimTime, own: VehicleState, params: EstimatorParams
 ) -> TrajectoryEstimate:
     """Horizon of a vehicle with no target vehicle."""
-    speeds = predict_leader_speed(params, own.speed)
-    return build_estimate(now, own, speeds, params.prediction_step)
+    speeds, positions = _leader_horizon(params, own.speed, own.position)
+    return TrajectoryEstimate(
+        anchor_time=now,
+        step=params.prediction_step,
+        anchor_speed=own.speed,
+        anchor_position=own.position,
+        speeds=tuple(speeds),
+        positions=tuple(positions),
+    )
 
 
 def shift_held_estimate(
@@ -437,10 +479,11 @@ def shift_held_estimate(
     own ground truth. Once every sample has expired the vehicle falls back
     to the no-target prediction.
     """
-    steps_past = round((now - previous.anchor_time) / previous.step)
-    if steps_past <= 0:
-        return build_estimate(now, own, previous.speeds, previous.step)
+    steps_past = max(0, round((now - previous.anchor_time) / previous.step))
     remaining = previous.speeds[steps_past:]
+    if isinstance(remaining, np.ndarray):
+        # A chain-kernel view: the new estimate holds Python floats.
+        remaining = remaining.tolist()
     if not remaining:
         log.warning(
             "held estimate exhausted at t=%.3f; falling back to free-driving prediction",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,12 @@ class ChannelModel:
             if next_start < prev_end:
                 raise ValueError("NLOS windows must not overlap")
 
+    @cached_property
+    def draws_nothing(self) -> bool:
+        """No random loss, no delay spread and no burst state: a send's fate
+        is fixed by the clock, so ``transmit`` takes no draw."""
+        return self.loss_prob == 0.0 and self.delay_std == 0.0 and self.burst is None
+
     def in_nlos(self, t: SimTime) -> bool:
         return any(start <= t < end for start, end in self.nlos_windows)
 
@@ -113,7 +120,7 @@ def transmit(
     channel: ChannelModel,
     beacon: Beacon,
     now: SimTime,
-    stream: LinkStream,
+    stream: LinkStream | None,
     receiver: VehicleId | None = None,
 ) -> SimTime | Dropped:
     """Decide one beacon's fate: a delivery time, or Dropped.
@@ -122,10 +129,19 @@ def transmit(
     certainty (consuming no randomness), and otherwise one Bernoulli draw
     decides random loss. Surviving beacons get one normal delay draw
     clamped at zero.
+
+    A model that ``draws_nothing`` skips both draws and needs no stream: it
+    delivers at ``now + delay_mean``, the time the draws would give, since
+    ``random() < 0.0`` never holds and ``delay_mean + 0.0 * z`` is
+    ``delay_mean``. A model with loss but no delay spread still draws: its
+    loss draws move the stream.
     """
-    if channel.link_impaired(beacon.sender, receiver):
-        if channel.in_nlos(now):
-            return DROPPED
+    impaired = channel.link_impaired(beacon.sender, receiver)
+    if impaired and channel.in_nlos(now):
+        return DROPPED
+    if channel.draws_nothing:
+        return now + max(0.0, channel.delay_mean)
+    if impaired:
         if channel.burst is not None:
             if stream.in_bad_state:
                 if stream.rng.random() < channel.burst.p_bad_to_good:
@@ -165,10 +181,12 @@ class V2XChannel:
         return self._streams[key]
 
     def send(self, beacon: Beacon, receiver: VehicleId, now: SimTime) -> bool:
-        """Transmit to one receiver; returns False when dropped."""
-        result = transmit(
-            self.model, beacon, now, self.stream_for(beacon.sender, receiver), receiver
-        )
+        """Transmit to one receiver; returns False when dropped.
+
+        A model that draws nothing gets no per-link stream.
+        """
+        stream = None if self.model.draws_nothing else self.stream_for(beacon.sender, receiver)
+        result = transmit(self.model, beacon, now, stream, receiver)
         if isinstance(result, Dropped):
             return False
         self._sent += 1

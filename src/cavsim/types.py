@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import HorizonExhausted, NumericFault
 
@@ -56,14 +57,22 @@ class TrajectoryEstimate:
     and serve as the base of both recursions, so interpolation between
     sample k-1 and k is defined down to k = 1. The anchors must be finite;
     the samples are not checked here, the estimator checks what it reads.
+
+    A horizon is either a tuple of floats (the scalar recursions) or a
+    read-only 1-D float64 view into the chain kernel's sample arrays
+    (``estimation.chain_follower_horizons``), which a whole chain's
+    estimates share. Read samples through ``speed_at``/``position_at``,
+    which return Python floats for both, or hand the sequence to numpy.
+    ``==`` and ``hash`` are undefined for a view-backed estimate, so code
+    tells estimates apart by identity (``is``).
     """
 
     anchor_time: SimTime
     step: float
     anchor_speed: float
     anchor_position: float
-    speeds: tuple[float, ...]
-    positions: tuple[float, ...]
+    speeds: Sequence[float]
+    positions: Sequence[float]
 
     def __post_init__(self) -> None:
         if self.step <= 0.0:
@@ -74,7 +83,7 @@ class TrajectoryEstimate:
             raise NumericFault(f"non-finite anchor position {self.anchor_position}")
         if len(self.speeds) != len(self.positions):
             raise ValueError("speeds and positions must have equal length")
-        if not self.speeds:
+        if len(self.speeds) == 0:
             raise ValueError("horizon must contain at least one sample")
 
     @property
@@ -87,11 +96,11 @@ class TrajectoryEstimate:
 
     def speed_at(self, k: int) -> float:
         """Speed sample at index k, where k = 0 is the anchor."""
-        return self.anchor_speed if k == 0 else self.speeds[k - 1]
+        return self.anchor_speed if k == 0 else float(self.speeds[k - 1])
 
     def position_at(self, k: int) -> float:
         """Position sample at index k, where k = 0 is the anchor."""
-        return self.anchor_position if k == 0 else self.positions[k - 1]
+        return self.anchor_position if k == 0 else float(self.positions[k - 1])
 
 
 @dataclass(frozen=True)

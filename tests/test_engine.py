@@ -2,6 +2,7 @@ import dataclasses
 import math
 import struct
 
+import numpy as np
 import pytest
 
 import cavsim.engine as engine_module
@@ -450,3 +451,33 @@ class TestBatchedChainHorizons:
                 assert _bits(est.speeds[0], est.positions[0]) == _bits(state.speed, state.position)
                 checked += 1
         assert checked == 150 * 4
+
+    def test_batched_run_writes_builtin_types(self, monkeypatch):
+        # The kernel's estimates are read-only float64 views; none of their
+        # numpy scalars may reach an output row or the summary.
+        calls = _count_calls(monkeypatch, "chain_follower_horizons")
+        views = []
+
+        def probe(engine, now):
+            views.extend(
+                veh.est.own_estimate.speeds
+                for veh in engine.vehicles.values()
+                if isinstance(veh.est.own_estimate.speeds, np.ndarray)
+            )
+
+        result = run(_ideal_chain(0.1), on_step=probe)
+        assert calls["chain_follower_horizons"] == 5
+        assert views and not any(view.flags.writeable for view in views)
+
+        def builtin(value):
+            if isinstance(value, dict):
+                return all(builtin(k) and builtin(v) for k, v in value.items())
+            if isinstance(value, (list, tuple)):
+                return all(builtin(v) for v in value)
+            return type(value) in (int, float, str, bool, type(None))
+
+        for name in ("trajectory", "metrics", "violations"):
+            rows = getattr(result, name)
+            assert builtin(rows), name
+        assert result.trajectory and result.metrics
+        assert builtin(result.summary)

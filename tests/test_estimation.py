@@ -3,6 +3,7 @@ import math
 import struct
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -150,6 +151,36 @@ class TestLeaderPrediction:
     def test_matches_scalar_recursion(self, limits, v_now, dt):
         p = params(prediction_step=dt, horizon_len=30, limits=limits)
         assert bits(predict_leader_speed(p, v_now)) == bits(leader_oracle(p, v_now))
+
+    @LIMIT_CASES
+    @given(
+        v_target=st.floats(2.0, 30.0),
+        ratio=st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0), st.floats(1.0, 2.5)),
+        r_now=st.floats(-500.0, 500.0),
+        dt=st.sampled_from([0.01, 0.1, 0.5, 1.0]),
+        n=st.integers(1, 600),
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_estimate_matches_full_loop(self, limits, v_target, ratio, r_now, dt, n):
+        # The fused loop stops at a fixed point and fills the rest; the full
+        # loop steps every sample, and both give the same bits. Speeds start
+        # at, below and above v_target, so fixed points are reached from
+        # both sides and under every clamp.
+        p = params(v_target=v_target, prediction_step=dt, horizon_len=n, limits=limits)
+        v_now = ratio * v_target
+        own = vstate(r=r_now, v=v_now)
+        est = leader_estimate(0.0, own, p)
+        expected = leader_oracle(p, v_now)
+        assert bits(est.speeds) == bits(expected)
+        assert bits(est.positions) == bits(integrate_position(r_now, v_now, expected, dt))
+        assert bits(predict_leader_speed(p, v_now)) == bits(expected)
+
+    def test_fixed_point_compares_bits(self):
+        # From -0.0 an underflowing acceleration returns +0.0, equal but not
+        # the same float: the loop must step on, or it fills with -0.0.
+        p = params(a_max=5e-324, horizon_len=4)
+        est = leader_estimate(0.0, vstate(r=0.0, v=-0.0), p)
+        assert bits(est.speeds) == bits(leader_oracle(p, -0.0)) == bits([0.0] * 4)
 
 
 class TestIntegratePosition:
@@ -498,6 +529,51 @@ class TestChainFollowerHorizons:
         assert first is None
         with pytest.raises(NumericFault):
             follower_estimate(0.0, followers[0][0], beacon, GAINS, 1.5, p)
+
+
+def _batched_and_scalar(n=6):
+    """The first follower's batched horizon and its scalar twin."""
+    p = params(horizon_len=n)
+    target = estimate_from([10.0 + 0.1 * k for k in range(n)], anchor_time=1.0,
+                           anchor_speed=10.0, anchor_position=100.0)
+    beacon = Beacon(sender=0, send_time=1.0, state=vstate(r=100.0), estimate=target)
+    followers = [(vstate(r=70.0, v=11.0), GAINS), (vstate(r=40.0, v=9.0), GAINS)]
+    row = next(chain_follower_horizons(1.0, beacon, followers, 1.5, p))
+    scalar = follower_estimate(1.0, followers[0][0], beacon, GAINS, 1.5, p)
+    return p, row, scalar
+
+
+class TestBatchedHorizonViews:
+    """The chain kernel's estimates carry read-only float64 views."""
+
+    def test_samples_are_read_only(self):
+        _, row, _ = _batched_and_scalar()
+        for samples in (row.speeds, row.positions):
+            assert samples.dtype == np.float64 and samples.ndim == 1
+            with pytest.raises(ValueError):
+                samples[0] = 0.0
+
+    def test_sample_readers_return_python_floats(self):
+        _, row, scalar = _batched_and_scalar()
+        for est in (row, scalar):
+            for k in range(est.horizon_len + 1):
+                assert type(est.speed_at(k)) is float
+                assert type(est.position_at(k)) is float
+            assert all(type(x) is float for x in lerp_trajectory(est, 1.25))
+        assert bits([row.speed_at(k) for k in range(7)]) == bits(
+            [scalar.speed_at(k) for k in range(7)]
+        )
+
+    @pytest.mark.parametrize("now", [1.0, 1.2, 1.5, 1.7], ids=["same", "two", "last", "expired"])
+    def test_shift_returns_python_floats_equal_to_tuple_twin(self, now):
+        p, row, scalar = _batched_and_scalar()
+        own = vstate(r=75.0, v=10.5)
+        shifted = shift_held_estimate(now, own, row, p)
+        twin = shift_held_estimate(now, own, scalar, p)
+        assert isinstance(shifted.speeds, tuple) and isinstance(shifted.positions, tuple)
+        assert all(type(x) is float for x in (*shifted.speeds, *shifted.positions))
+        assert bits(shifted.speeds) == bits(twin.speeds)
+        assert bits(shifted.positions) == bits(twin.positions)
 
 
 class TestHoldAndShift:

@@ -78,6 +78,35 @@ class TestTransmit:
         inbound = link_stream(channel, 3, 7)
         assert isinstance(transmit(channel, beacon(sender=3), 1.0, inbound, receiver=7), Dropped)
 
+    def test_ideal_model_draws_nothing(self):
+        # No stream is needed: NLOS still drops, the rest arrive after
+        # delay_mean, exactly when the draws would deliver them.
+        channel = ChannelModel(delay_mean=0.05, delay_std=0.0, loss_prob=0.0,
+                               nlos_windows=((4.0, 6.0),), seed=1)
+        assert channel.draws_nothing
+        assert isinstance(transmit(channel, beacon(send_time=5.0), 5.0, None), Dropped)
+        stream = link_stream(channel, 0, 1)
+        for t in (0.0, 0.1, 7.3):
+            assert transmit(channel, beacon(send_time=t), t, None) == t + 0.05
+            assert reference_transmit(channel, beacon(send_time=t), t, stream, None) == t + 0.05
+        v2x = V2XChannel(channel)
+        assert v2x.send(beacon(sender=0, send_time=1.0), 1, 1.0)
+        assert not v2x.send(beacon(sender=0, send_time=5.0), 1, 5.0)
+        assert v2x._streams == {}
+
+    @pytest.mark.parametrize("change", [
+        {"loss_prob": 0.2},
+        {"delay_std": 0.01},
+        {"burst": BurstLossModel(p_good_to_bad=0.0, p_bad_to_good=1.0)},
+    ], ids=["loss", "spread", "burst"])
+    def test_any_randomness_keeps_the_draws(self, change):
+        # Loss with zero spread still draws: its loss draws move the stream.
+        channel = ChannelModel(**{"delay_mean": 0.0, "delay_std": 0.0, "loss_prob": 0.0, **change})
+        assert not channel.draws_nothing
+        v2x = V2XChannel(channel)
+        v2x.send(beacon(sender=0, send_time=1.0), 1, 1.0)
+        assert list(v2x._streams) == [(0, 1)]
+
     def test_burst_model_state_machine(self):
         channel = ChannelModel(
             loss_prob=0.0, delay_std=0.0, delay_mean=0.0, seed=1,
@@ -246,15 +275,21 @@ vehicle = st.integers(0, 3)
     ),
     seed=st.integers(0, 2**16),
     delay_mean=st.sampled_from([0.0, 0.05, 0.15]),
+    delay_std=st.sampled_from([0.0, 0.1]),
+    loss_prob=st.sampled_from([0.0, 0.2]),
     burst=st.sampled_from([None, BurstLossModel(p_good_to_bad=0.3, p_bad_to_good=0.5)]),
     nlos_windows=st.sampled_from([(), ((1.0, 1.5),)]),
 )
-def test_channel_matches_reference(schedule, seed, delay_mean, burst, nlos_windows):
+def test_channel_matches_reference(
+    schedule, seed, delay_mean, delay_std, loss_prob, burst, nlos_windows
+):
     """Delays up to several steps reorder deliveries, and each step polls only
     the listed receivers (any order, repeats allowed), so beacons wait
-    across steps for receivers that are not polled."""
+    across steps for receivers that are not polled. The reference keeps its
+    draws on a model that ``draws_nothing``, which pins that skipping them
+    changes no delivery."""
     model = ChannelModel(
-        delay_mean=delay_mean, delay_std=0.1, loss_prob=0.2, seed=seed,
+        delay_mean=delay_mean, delay_std=delay_std, loss_prob=loss_prob, seed=seed,
         burst=burst, nlos_windows=nlos_windows,
     )
     channels = both(model)
