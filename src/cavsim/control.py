@@ -42,20 +42,16 @@ class ControlGains:
 
 
 def consensus_accel(ego: VehicleState, target: TargetView, gains: ControlGains) -> float:
-    """Unsaturated acceleration command; saturation is the plant's job."""
+    """Unsaturated acceleration command; saturation is the plant's job.
+
+    ``VehicleState`` guarantees a finite ego, and any non-finite target
+    value or gain product makes the result non-finite, so the one output
+    check covers every input at either alpha. At ``alpha = 0`` the result
+    is a signed zero: ``0.0 * bracket`` keeps the bracket's sign.
+    """
     if target.time_gap <= 0:
         raise ValueError("time_gap must be > 0")
     r_i, v_i, r_j, v_j = ego.position, ego.speed, target.position, target.speed
-    for name, value in (
-        ("ego.position", r_i),
-        ("ego.speed", v_i),
-        ("target.position", r_j),
-        ("target.speed", v_j),
-    ):
-        if not math.isfinite(value):
-            raise NumericFault(f"non-finite controller input {name}={value}")
-    if gains.alpha == 0:
-        return 0.0
     spacing = r_i - r_j + target.length + v_i * target.time_gap
     accel = -gains.alpha * gains.k * (spacing + gains.gamma * (v_i - v_j))
     if not math.isfinite(accel):

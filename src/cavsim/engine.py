@@ -503,7 +503,6 @@ class SimulationEngine:
         for veh in self.vehicles.values():
             veh.view_position = None
             veh.view_speed = None
-            veh.est.horizon_exhausted = False
             try:
                 if veh.est.last_target_beacon is not None:
                     assert veh.gains is not None

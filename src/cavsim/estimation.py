@@ -292,24 +292,23 @@ def follower_estimate(
     ``now - estimate.anchor_time``: with per-step refresh that equals the
     beacon age, while with coarse prediction steps it additionally covers
     the sender's anchor being older than the beacon.
+
+    Engine-internal: ``ControlConfig`` owns ``t_gap > 0``, and the channel
+    delivers a beacon no earlier than its send time, so neither is
+    re-checked here.
     """
     tau = now - beacon.estimate.anchor_time
-    if now - beacon.send_time < 0:
-        raise ValueError("beacon from the future")
-    if t_gap <= 0:
-        raise ValueError("t_gap must be > 0")
     dt = params.prediction_step
     l_target = beacon.state.length
     v_adj, r_adj = _compensated_target_arrays(
         beacon.estimate, tau, params.horizon_len, dt
     )
-    alpha = float(gains.alpha)
     k_gain = gains.k
     gamma = gains.gamma
     implicit = params.implicit_solve
-    a = alpha * k_gain * dt
+    a = gains.alpha * k_gain * dt
     denom = 1.0 + a * (t_gap + gamma)
-    neg_gain = -alpha * k_gain
+    neg_gain = -gains.alpha * k_gain
     neg_decel = -params.limits.decel_max
     accel_max = params.limits.accel_max
     speed_max = params.limits.speed_max
@@ -388,7 +387,7 @@ def chain_follower_horizons(
     speeds[0, 1:] = [state.speed for state, _ in followers]
     positions[0, 1:] = [state.position for state, _ in followers]
     l_target = np.array([beacon.state.length, *(state.length for state, _ in followers[:-1])])
-    neg_gain = np.array([-float(gains.alpha) * gains.k for _, gains in followers])
+    neg_gain = np.array([-gains.alpha * gains.k for _, gains in followers])
     gamma = np.array([gains.gamma for _, gains in followers])
     neg_decel = -params.limits.decel_max
     accel_max = params.limits.accel_max

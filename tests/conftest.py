@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import settings
 
 from cavsim.engine import (
     ControlConfig,
@@ -20,6 +21,11 @@ from cavsim.scenario import (
     SpawnEvent,
     SpawnPlan,
 )
+
+# Tier-1 is deterministic: every Hypothesis test draws the same examples on
+# every run, and no example database carries a failure over to the next run.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 PERFECT_CHANNEL = ChannelModel(
     delay_mean=0.0, delay_std=0.0, loss_prob=0.0, nlos_windows=()

@@ -32,8 +32,6 @@ def consensus_accel_raw(
 ) -> float:
     """Scalar form of the consensus law, in the operation order of
     ``cavsim.control.consensus_accel``."""
-    if alpha == 0:
-        return 0.0
     spacing = r_i - r_j + l_j + v_i * t_gap
     accel = -alpha * k * (spacing + gamma * (v_i - v_j))
     if not math.isfinite(accel):

@@ -310,6 +310,13 @@ class TestOutOfRangeValues:
         assert f"configuration error: estimator: {key} must be > 0, got {value}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [0, -1.5])
+    def test_non_positive_time_gap_exits_2(self, tmp_path, capsys, value):
+        # ControlConfig owns time_gap > 0; the follower estimator relies on it.
+        cfg = write_with(tmp_path, ("control", "time_gap_s"), value)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "configuration error: control: time_gap must be > 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("steps", ["0.1,0", "-0.5", "nan", "inf"])
     def test_sweep_non_positive_step_exits_2(self, tmp_path, capsys, steps):
         cfg = write_config(tmp_path)

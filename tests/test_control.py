@@ -1,4 +1,5 @@
 import logging
+import math
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -43,13 +44,24 @@ class TestConsensusAccel:
         assert out == pytest.approx(-0.8, abs=1e-12)
 
     def test_alpha_zero_silences_output(self):
+        # 0.0 times the bracket: a zero of the bracket's sign.
         gains = ControlGains(k=0.5, gamma=0.8, alpha=0)
         out = consensus_accel(ego(0.0, 19.0), view(500.0, 3.0), gains)
-        assert out == 0.0
+        assert out == 0.0 and math.copysign(1.0, out) == -1.0
+        out = consensus_accel(ego(0.0, 19.0), view(5.0, 3.0), gains)
+        assert out == 0.0 and math.copysign(1.0, out) == 1.0
 
-    def test_non_finite_input_raises(self):
-        with pytest.raises(NumericFault):
-            consensus_accel(ego(float("nan"), 10.0), view(100.0, 10.0), GAINS)
+    @pytest.mark.parametrize("alpha", [0, 1])
+    @pytest.mark.parametrize(
+        "r_j, v_j",
+        [(math.nan, 10.0), (math.inf, 10.0), (-math.inf, 10.0), (100.0, math.nan), (100.0, math.inf)],
+    )
+    def test_non_finite_input_raises(self, alpha, r_j, v_j):
+        # VehicleState rejects a non-finite ego; a non-finite target reaches
+        # the law and fails its output check at either alpha.
+        gains = ControlGains(k=0.5, gamma=0.8, alpha=alpha)
+        with pytest.raises(NumericFault, match="consensus law produced non-finite acceleration"):
+            consensus_accel(ego(50.0, 10.0), view(r_j, v_j), gains)
 
     def test_non_finite_law_output_raises(self):
         # Finite inputs whose spacing overflows.

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavsim.control import ControlGains
-from cavsim.dynamics import DynamicsLimits
+from cavsim.control import ControlGains, consensus_accel
+from cavsim.dynamics import DynamicsLimits, step_vehicle
 from cavsim.engine import SimulationEngine, _SimVehicle
 from cavsim.errors import ColdStart, NumericFault
 from cavsim.estimation import (
@@ -23,7 +23,7 @@ from cavsim.estimation import (
     shift_held_estimate,
     target_motion_for_control,
 )
-from cavsim.types import Beacon, TrajectoryEstimate, VehicleState, lerp_trajectory
+from cavsim.types import Beacon, TargetView, TrajectoryEstimate, VehicleState, lerp_trajectory
 
 from conftest import perfect_two_vehicle
 from estimation_oracle import (
@@ -452,9 +452,7 @@ def chain_case(draw):
     """A received target horizon and a chain of 1-8 followers behind it.
 
     A follower at -0.0 m/s that touches its target (gap 0) gets accel -0.0
-    and keeps -0.0, which only the masked lower speed clamp preserves. Such a
-    follower has ``alpha = 1``: with ``alpha = 0`` the horizon loops compute
-    -0.0 * 0.0 where the oracle and the plant's consensus law return 0.0.
+    and keeps -0.0, which only the masked lower speed clamp preserves.
     """
     n = draw(st.integers(1, 12))
     # Shorter than our horizon exercises the padding branch.
@@ -478,7 +476,7 @@ def chain_case(draw):
         gains = ControlGains(
             k=draw(st.floats(0.1, 2.0)),
             gamma=draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
-            alpha=draw(st.sampled_from([0, 1])) if gap else 1,
+            alpha=draw(st.sampled_from([0, 1])),
         )
         followers.append((vstate(r=r, v=draw(SPEEDS), length=length), gains))
     return target, tau, n, followers
@@ -529,6 +527,31 @@ class TestChainFollowerHorizons:
         assert first is None
         with pytest.raises(NumericFault):
             follower_estimate(0.0, followers[0][0], beacon, GAINS, 1.5, p)
+
+
+class TestAlphaZeroLaw:
+    """At ``alpha = 0`` every form of the law computes ``0.0 * bracket``, a
+    zero of the bracket's sign: the plant's ``consensus_accel``, both
+    horizon loops and the oracle."""
+
+    @pytest.mark.parametrize(
+        "target_r, expected", [(50.0, 0.0), (100.0, -0.0)], ids=["touching", "negative_bracket"]
+    )
+    def test_every_form_agrees_bit_for_bit(self, target_r, expected):
+        gains = ControlGains(k=0.5, gamma=0.8, alpha=0)
+        p = params(horizon_len=3)
+        own = vstate(r=48.0, v=-0.0)
+        target = estimate_from([0.0] * 3, anchor_speed=0.0, anchor_position=target_r)
+        beacon = Beacon(sender=0, send_time=0.0, state=vstate(r=target_r, v=0.0), estimate=target)
+        scalar = follower_estimate(0.0, own, beacon, gains, 1.5, p)
+        (row,) = chain_follower_horizons(0.0, beacon, [(own, gains)], 1.5, p)
+        oracle = follower_speeds(own.speed, own.position, target, 0.0, gains, 5.0, 1.5, p)
+        accel = consensus_accel(own, TargetView(target_r, 0.0, 5.0, 1.5), gains)
+        plant = step_vehicle(own, accel, p.prediction_step, p.limits)
+        assert bits(scalar.speeds) == bits(row.speeds) == bits(oracle) == bits([expected] * 3)
+        assert bits([plant.speed]) == bits([expected])
+        assert bits(scalar.positions) == bits(row.positions) == bits([48.0] * 3)
+        assert bits([plant.position]) == bits([48.0])
 
 
 def _batched_and_scalar(n=6):

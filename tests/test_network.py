@@ -3,7 +3,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cavsim.estimation import integrate_position
 from cavsim.network import (
@@ -204,8 +204,11 @@ def send_both(channels, b, receiver, now):
 
 
 def deliver_both(channels, receiver, now):
+    """Poll both channels. No beacon is delivered before its send time: the
+    follower estimator relies on that and does not check it again."""
     got = [channel.deliver_to(receiver, now) for channel in channels]
     assert got[0] == got[1]
+    assert all(b.send_time <= now for b in got[0].values())
     return got[0]
 
 
@@ -265,6 +268,8 @@ class TestV2XChannel:
 
 
 vehicle = st.integers(0, 3)
+# Every step, 0 -> 1 and 1 -> 2 send and both receivers poll, over 2 s.
+DRAW_FREE_SCHEDULE = [([(0, 1), (1, 2)], [1, 2])] * 20
 
 
 @settings(max_examples=150, deadline=None)
@@ -280,6 +285,11 @@ vehicle = st.integers(0, 3)
     burst=st.sampled_from([None, BurstLossModel(p_good_to_bad=0.3, p_bad_to_good=0.5)]),
     nlos_windows=st.sampled_from([(), ((1.0, 1.5),)]),
 )
+# Draw-free models: a delay over one step, and an NLOS window.
+@example(schedule=DRAW_FREE_SCHEDULE, seed=1, delay_mean=0.15, delay_std=0.0, loss_prob=0.0,
+         burst=None, nlos_windows=())
+@example(schedule=DRAW_FREE_SCHEDULE, seed=1, delay_mean=0.05, delay_std=0.0, loss_prob=0.0,
+         burst=None, nlos_windows=((1.0, 1.5),))
 def test_channel_matches_reference(
     schedule, seed, delay_mean, delay_std, loss_prob, burst, nlos_windows
 ):
