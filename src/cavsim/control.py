@@ -37,6 +37,9 @@ class ControlGains:
             raise ValueError("k must be > 0")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
+        # The int alone: a float zero would make -alpha * k a negative zero.
+        if type(self.alpha) is not int:
+            raise ValueError(f"alpha must be the int 0 or 1, not {type(self.alpha).__name__}")
         if self.alpha not in (0, 1):
             raise ValueError("alpha must be 0 or 1")
 

@@ -26,7 +26,10 @@ Per-step phase order (identical every step, deterministic given the seed):
    just consumed was sent this step and carries the very horizon the row
    was computed from, which makes the row its ``follower_estimate`` bit for
    bit. Otherwise it and the rest of the order refresh one by one, so the
-   channel condition only spares computing rows nobody takes
+   channel condition only spares computing rows nobody takes. A
+   free-driving refresh hands ``leader_estimate`` the vehicle's previous
+   horizon when that horizon is a free-driving one too
+   (``EstimatorState.free_driving``), so it can advance it by one sample
 5. each vehicle computes next step's acceleration command: consensus law
    from its delay-compensated target view when following, free driving
    toward the preset target speed otherwise
@@ -383,6 +386,7 @@ class SimulationEngine:
         veh.est.last_target_beacon = None
         veh.est.link_up = False
         veh.est.refreshed_send_time = None
+        veh.est.free_driving = False
         veh.last_arrival = -math.inf
         if target is None:
             veh.gains = None
@@ -464,6 +468,7 @@ class SimulationEngine:
                     else:
                         veh.est.own_estimate = assumed = batched
                         veh.est.refreshed_send_time = now
+                        veh.est.free_driving = False
                 if follower is not None and veh.est.own_estimate is not None:
                     beacon = Beacon(
                         sender=vid,
@@ -485,6 +490,8 @@ class SimulationEngine:
 
     def _refresh_estimate(self, veh: _SimVehicle, now: float) -> None:
         st = veh.est
+        previous = st.own_estimate if st.free_driving else None
+        st.free_driving = False
         if st.has_fresh_beacon():
             assert veh.gains is not None
             beacon = st.last_target_beacon
@@ -495,7 +502,8 @@ class SimulationEngine:
         elif st.last_target_beacon is not None and st.own_estimate is not None:
             st.own_estimate = shift_held_estimate(now, veh.state, st.own_estimate, self.params)
         else:
-            st.own_estimate = leader_estimate(now, veh.state, self.params)
+            st.own_estimate = leader_estimate(now, veh.state, self.params, previous)
+            st.free_driving = True
 
     # -- phase 5 -------------------------------------------------------
 

@@ -30,17 +30,30 @@ the lower speed clamp as a masked copy that keeps -0.0 as the branch does,
 so each horizon is byte-identical to ``follower_estimate``'s. The engine
 decides when to use it (see ``engine.CHAIN_BATCH_MIN``).
 
+Delay compensation is written twice, once per path: ``follower_estimate``
+compensates each target sample inside its own loop, and
+``_compensated_target_arrays`` is the same arithmetic in vector form, the
+chain kernel's first column. Tests pin the two to each other bit for bit.
+
+A free-driving refresh usually finds the vehicle exactly (the same bits)
+at the first sample of its previous horizon: with the simulation step equal
+to the prediction step, the plant takes the very step the recursion
+predicted. The recursion depends on the anchor pair (v, r) alone, so the
+new horizon is the previous one without its first sample plus one step
+from its last (``leader_estimate``'s ``previous``). The horizon is still a
+full tuple of N samples; the update only skips recomputing N - 1 of them.
+
 Horizons are tuples of Python floats, except the chain kernel's, which are
 read-only float64 views into its sample arrays (no per-sample float is
 allocated for a wide chain). Readers go through
 ``TrajectoryEstimate.speed_at``/``position_at``, which return Python floats,
-or hand the sequence to numpy, as ``_compensated_target_arrays`` does; the
-held shift turns a view into Python floats before it builds its estimate,
-so no numpy scalar reaches an output row.
+or turn a view into Python floats first, as ``follower_estimate`` and the
+held shift do, so no numpy scalar reaches an output row.
 
 The scalar per-sample forms of delay compensation and the follower
-transition live in the test suite as the reference oracle; tests pin the
-recursions here, the batched one included, to them bit for bit.
+transition, and the follower loop over numpy-compensated targets, live in
+the test suite as the reference oracle; tests pin the recursions here, the
+batched one included, to them bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +61,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -67,6 +80,7 @@ from .types import (
 
 log = logging.getLogger(__name__)
 
+_NON_FINITE_TARGET = "non-finite sample in the received target horizon"
 _UNBOUNDED = DynamicsLimits(math.inf, math.inf, math.inf)
 
 
@@ -106,7 +120,8 @@ class EstimatorState:
     ``refreshed_send_time`` is the send time of the beacon consumed by the
     last own-estimate refresh; a refresh boundary with no newer beacon in
     the inbox holds the previous estimate instead of recomputing from stale
-    data.
+    data. ``free_driving`` says that ``own_estimate`` is a
+    ``leader_estimate`` horizon, which the next leader refresh may advance.
     """
 
     own_estimate: TrajectoryEstimate | None = None
@@ -114,6 +129,7 @@ class EstimatorState:
     link_up: bool = False
     horizon_exhausted: bool = False
     refreshed_send_time: SimTime | None = None
+    free_driving: bool = False
 
     def has_fresh_beacon(self) -> bool:
         """A beacon newer than the one used by the last refresh is waiting."""
@@ -134,13 +150,14 @@ def predict_leader_speed(params: EstimatorParams, v_now: float) -> list[float]:
     """Speed horizon of a vehicle with no target: ``_leader_horizon``'s speeds."""
     if v_now < 0:
         raise ValueError("v_now must be >= 0")
-    return _leader_horizon(params, v_now, 0.0)[0]
+    return _leader_horizon(params, v_now, 0.0, params.horizon_len)[0]
 
 
 def _leader_horizon(
-    params: EstimatorParams, v_now: float, r_now: float
+    params: EstimatorParams, v_now: float, r_now: float, n: int
 ) -> tuple[list[float], list[float]]:
-    """Speeds and positions of a vehicle with no target, converging to v_target.
+    """The first n speeds and positions of a vehicle with no target,
+    converging to v_target.
 
     Recursion: v[k] = v[k-1] + a_max * (1 - (v[k-1]/v_target)^sigma) * dt,
     with the acceleration and the speed clamped exactly as the plant clamps
@@ -155,7 +172,6 @@ def _leader_horizon(
     sigma = params.sigma
     v_target = params.v_target
     dt = params.prediction_step
-    n = params.horizon_len
     neg_decel = -params.limits.decel_max
     accel_max = params.limits.accel_max
     speed_max = params.limits.speed_max
@@ -252,6 +268,9 @@ def _compensated_target_arrays(
         v_adj = base_v.copy()
     else:
         v_adj = base_v + (tau / dt) * (samples[1 : n + 1] - base_v)
+        # The clamp would turn -inf into 0 m/s.
+        if (v_adj == -math.inf).any():
+            raise NumericFault(_NON_FINITE_TARGET)
         np.maximum(v_adj, 0.0, out=v_adj)
     r_adj = pos[:n] + v_adj * tau
     if horizon_len > n_t:
@@ -267,7 +286,7 @@ def _compensated_target_arrays(
         r_adj = np.concatenate([r_adj, r_pad])
     # Every speed enters a position, so a finite r_adj implies a finite v_adj.
     if not np.isfinite(r_adj).all():
-        raise NumericFault("non-finite sample in the received target horizon")
+        raise NumericFault(_NON_FINITE_TARGET)
     return v_adj.tolist(), r_adj.tolist()
 
 
@@ -291,18 +310,54 @@ def follower_estimate(
     The compensated delay is the age of the received horizon itself,
     ``now - estimate.anchor_time``: with per-step refresh that equals the
     beacon age, while with coarse prediction steps it additionally covers
-    the sender's anchor being older than the beacon.
+    the sender's anchor being older than the beacon. Each transition
+    compensates the target sample it consumes inside the loop, with the
+    arithmetic of ``_compensated_target_arrays`` (the chain kernel's vector
+    form, whose docstring states it) in the same operation order.
+
+    A non-finite received sample raises NumericFault. It makes every later
+    sample non-finite unless a clamp absorbs it, so each clamp branch checks
+    the compensated target position (non-finite whenever the compensated
+    speed is), the zero clamp of an extrapolated speed rejects -inf, and the
+    final check covers the rest.
 
     Engine-internal: ``ControlConfig`` owns ``t_gap > 0``, and the channel
     delivers a beacon no earlier than its send time, so neither is
     re-checked here.
     """
-    tau = now - beacon.estimate.anchor_time
+    target = beacon.estimate
+    tau = now - target.anchor_time
     dt = params.prediction_step
+    n = params.horizon_len
+    t_speeds = target.speeds
+    t_positions = target.positions
+    if isinstance(t_speeds, np.ndarray):
+        # A chain-kernel view: the loop runs on Python floats.
+        t_speeds = t_speeds.tolist()
+        t_positions = t_positions.tolist()
+    n_t = len(t_speeds)
+    # Transition k reads the received horizon's sample k-1 (bases, starts;
+    # the anchor is sample 0) and sample k (nexts), and advances the start
+    # by the compensated speed times its age.
+    bases = (target.anchor_speed, *t_speeds)
+    starts = (target.anchor_position, *t_positions)
+    nexts = t_speeds
+    ages = repeat(tau, n)
+    if n > n_t:
+        v_last = bases[n_t]
+        # max() would turn a NaN final speed into 0 m/s.
+        if not math.isfinite(v_last):
+            raise NumericFault("non-finite final sample in the received target horizon")
+        # Past the end the base and the next sample are both v_pad, so the
+        # extrapolation adds c * 0.0 and holds it (c = tau/dt is finite).
+        v_pad = max(0.0, v_last)
+        bases = chain(bases[:n_t], repeat(v_pad))
+        nexts = chain(nexts, repeat(v_pad))
+        starts = chain(starts, repeat(starts[n_t]))
+        ages = chain(repeat(tau, n_t), [j * dt + tau for j in range(n - n_t)])
+    hold = tau < dt
+    c = tau / dt
     l_target = beacon.state.length
-    v_adj, r_adj = _compensated_target_arrays(
-        beacon.estimate, tau, params.horizon_len, dt
-    )
     k_gain = gains.k
     gamma = gains.gamma
     implicit = params.implicit_solve
@@ -312,11 +367,22 @@ def follower_estimate(
     neg_decel = -params.limits.decel_max
     accel_max = params.limits.accel_max
     speed_max = params.limits.speed_max
+    isfinite = math.isfinite
     speeds: list[float] = []
     positions: list[float] = []
     v = own.speed
     r = own.position
-    for v_t, r_t in zip(v_adj, r_adj):
+    for b, b_next, start, age in zip(bases, nexts, starts, ages):
+        if hold:
+            v_t = b
+        else:
+            v_t = b + c * (b_next - b)
+            # np.maximum's result: -0.0 and below become 0.0, NaN stays.
+            if v_t <= 0.0:
+                if v_t == -math.inf:
+                    raise NumericFault(_NON_FINITE_TARGET)
+                v_t = 0.0
+        r_t = start + v_t * age
         if implicit:
             numer = v - a * (r + v * dt - r_t + l_target - gamma * v_t)
             accel = (numer / denom - v) / dt
@@ -324,20 +390,28 @@ def follower_estimate(
             spacing = r - r_t + l_target + v * t_gap
             accel = neg_gain * (spacing + gamma * (v - v_t))
         if accel < neg_decel:
+            if not isfinite(r_t):
+                raise NumericFault(_NON_FINITE_TARGET)
             accel = neg_decel
         elif accel > accel_max:
+            if not isfinite(r_t):
+                raise NumericFault(_NON_FINITE_TARGET)
             accel = accel_max
         r = r + v * dt
         v = v + accel * dt
         if v < 0.0:
+            if not isfinite(r_t):
+                raise NumericFault(_NON_FINITE_TARGET)
             v = 0.0
         elif v > speed_max:
+            if not isfinite(r_t):
+                raise NumericFault(_NON_FINITE_TARGET)
             v = speed_max
         speeds.append(v)
         positions.append(r)
     # A non-finite speed or position stays non-finite along the recursion,
     # so checking the final sample covers the whole horizon.
-    if not (math.isfinite(v) and math.isfinite(r)):
+    if not (isfinite(v) and isfinite(r)):
         raise NumericFault("follower horizon prediction diverged to non-finite")
     return TrajectoryEstimate(
         anchor_time=now,
@@ -450,17 +524,42 @@ def chain_follower_horizons(
 
 
 def leader_estimate(
-    now: SimTime, own: VehicleState, params: EstimatorParams
+    now: SimTime,
+    own: VehicleState,
+    params: EstimatorParams,
+    previous: TrajectoryEstimate | None = None,
 ) -> TrajectoryEstimate:
-    """Horizon of a vehicle with no target vehicle."""
-    speeds, positions = _leader_horizon(params, own.speed, own.position)
+    """Horizon of a vehicle with no target vehicle.
+
+    ``previous`` is the vehicle's last horizon from this function under the
+    same ``params``, if it has one. The recursion depends only on the
+    anchor pair (v, r), so a vehicle standing exactly (the same bits) at its
+    first sample is predicted by the rest of that horizon plus one step from
+    its final sample; anything else is predicted from scratch.
+    """
+    v_now = own.speed
+    r_now = own.position
+    if (
+        previous is not None
+        and previous.speeds[0] == v_now
+        and previous.positions[0] == r_now
+        and math.copysign(1.0, previous.speeds[0]) == math.copysign(1.0, v_now)
+        and math.copysign(1.0, previous.positions[0]) == math.copysign(1.0, r_now)
+    ):
+        (v_end,), (r_end,) = _leader_horizon(
+            params, previous.speeds[-1], previous.positions[-1], 1
+        )
+        speeds = previous.speeds[1:] + (v_end,)
+        positions = previous.positions[1:] + (r_end,)
+    else:
+        speeds, positions = map(tuple, _leader_horizon(params, v_now, r_now, params.horizon_len))
     return TrajectoryEstimate(
         anchor_time=now,
         step=params.prediction_step,
-        anchor_speed=own.speed,
-        anchor_position=own.position,
-        speeds=tuple(speeds),
-        positions=tuple(positions),
+        anchor_speed=v_now,
+        anchor_position=r_now,
+        speeds=speeds,
+        positions=positions,
     )
 
 

@@ -1,9 +1,10 @@
-"""Scalar reference forms of the estimator's per-sample operations.
+"""Reference forms of the estimator's operations.
 
 ``cavsim.estimation`` computes whole horizons in one loop per vehicle role.
-These functions state one transition at a time, in the operation order of
-the published recursion, and the tests compare the fast loops against them
-bit for bit.
+Most functions here state one transition at a time, in the operation order
+of the published recursion; ``array_compensated_follower`` is the follower
+loop over delay compensation done up front in numpy, the form the scalar
+loop replaced. The tests compare the fast loops against them bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import math
 
 from cavsim.control import ControlGains
 from cavsim.errors import NumericFault
-from cavsim.estimation import EstimatorParams
-from cavsim.types import TrajectoryEstimate
+from cavsim.estimation import EstimatorParams, _compensated_target_arrays
+from cavsim.types import Beacon, TrajectoryEstimate, VehicleState
 
 log = logging.getLogger(__name__)
 
@@ -90,6 +91,9 @@ def compensate_delay(
             )
         delta = target_est.speed_at(base + 1) - target_est.speed_at(base)
         v_adj = target_est.speed_at(base) + (tau / dt) * delta
+    # max() would turn NaN and -inf into 0 m/s.
+    if not math.isfinite(v_adj):
+        raise NumericFault(f"non-finite compensated target speed {v_adj}")
     v_adj = max(0.0, v_adj)
     r_adj = target_est.position_at(k - 1) + v_adj * tau
     return v_adj, r_adj
@@ -185,3 +189,51 @@ def follower_speeds(
         v = v_next
         speeds.append(v_next)
     return speeds
+
+
+def array_compensated_follower(
+    now: float,
+    own: VehicleState,
+    beacon: Beacon,
+    gains: ControlGains,
+    t_gap: float,
+    params: EstimatorParams,
+) -> tuple[list[float], list[float]]:
+    """A follower's speeds and positions, with every transition's
+    compensated target sample computed first, in numpy, by
+    ``_compensated_target_arrays`` (the chain kernel's column-0 builder)."""
+    dt = params.prediction_step
+    v_adj, r_adj = _compensated_target_arrays(
+        beacon.estimate, now - beacon.estimate.anchor_time, params.horizon_len, dt
+    )
+    l_target = beacon.state.length
+    a = gains.alpha * gains.k * dt
+    denom = 1.0 + a * (t_gap + gains.gamma)
+    neg_gain = -gains.alpha * gains.k
+    limits = params.limits
+    speeds = []
+    positions = []
+    v = own.speed
+    r = own.position
+    for v_t, r_t in zip(v_adj, r_adj):
+        if params.implicit_solve:
+            numer = v - a * (r + v * dt - r_t + l_target - gains.gamma * v_t)
+            accel = (numer / denom - v) / dt
+        else:
+            spacing = r - r_t + l_target + v * t_gap
+            accel = neg_gain * (spacing + gains.gamma * (v - v_t))
+        if accel < -limits.decel_max:
+            accel = -limits.decel_max
+        elif accel > limits.accel_max:
+            accel = limits.accel_max
+        r = r + v * dt
+        v = v + accel * dt
+        if v < 0.0:
+            v = 0.0
+        elif v > limits.speed_max:
+            v = limits.speed_max
+        speeds.append(v)
+        positions.append(r)
+    if not (math.isfinite(v) and math.isfinite(r)):
+        raise NumericFault("follower horizon prediction diverged to non-finite")
+    return speeds, positions

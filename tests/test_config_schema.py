@@ -263,3 +263,41 @@ def test_list_key_rejects_a_non_list_at_its_path(path, value):
     node_at(doc, path[:-1])[path[-1]] = value
     with pytest.raises(ConfigError, match=rf"^{re.escape(text_path(path))}: expected a list$"):
         parse_scenario(doc)
+
+
+def _loader_documents():
+    """Every shipped scenario, ``every_section.yaml`` and the benchmark's
+    generated workload documents (explicit spawn lists of up to 150 events)."""
+    yield from (path.read_text(encoding="utf-8") for path in VALIDATE_CASES.values() if path)
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in ("stress_fine", "wide_chain", "long_traffic"):
+        yield from workloads.documents(name, 1)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_and_python_loaders_agree(tmp_path, monkeypatch):
+    import cavsim.config as config_module
+
+    assert config_module._YAML_LOADER is yaml.CSafeLoader
+    path = tmp_path / "scenario.yaml"
+    documents = 0
+    for text in _loader_documents():
+        path.write_text(text, encoding="utf-8")
+        loaded = []
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+            loaded.append(config_module.load_scenario(str(path)))
+        assert loaded[0] == loaded[1]
+        documents += 1
+    assert documents == 7
+    # Bad YAML is a ConfigError under either parser; only the parser's own
+    # wording after the prefix differs.
+    path.write_text("engine: [\n", encoding="utf-8")
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+        with pytest.raises(ConfigError, match="^config file is not valid YAML: "):
+            config_module.load_scenario(str(path))

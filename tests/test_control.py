@@ -162,3 +162,11 @@ def test_gains_validation():
         ControlGains(k=0.5, gamma=-0.1)
     with pytest.raises(ValueError):
         ControlGains(k=0.5, gamma=0.8, alpha=2)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, True, False], ids=["0.0", "1.0", "True", "False"])
+def test_alpha_must_be_an_int(alpha):
+    # -alpha * k is 0.0 for the int 0 but -0.0 for 0.0, so the law's signed
+    # zero would depend on the gain's type.
+    with pytest.raises(ValueError, match=f"not {type(alpha).__name__}"):
+        ControlGains(k=0.5, gamma=0.8, alpha=alpha)

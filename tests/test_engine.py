@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cavsim.engine as engine_module
 from cavsim.cli import write_metrics_csv, write_trajectory_csv
+from cavsim.config import load_scenario
 from cavsim.control import GainTable
 from cavsim.engine import (
     ControlConfig,
@@ -28,6 +30,8 @@ from conftest import (
     timing_bench,
     with_seed,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestDeterminism:
@@ -481,3 +485,68 @@ class TestBatchedChainHorizons:
             assert builtin(rows), name
         assert result.trajectory and result.metrics
         assert builtin(result.summary)
+
+
+class TestLeaderUpdateInRuns:
+    """A free-driving vehicle's refresh advances its previous horizon when
+    the plant landed exactly on its first sample, never right after a
+    retarget, and always equals the horizon computed from scratch."""
+
+    # Under total loss a follower never gets a beacon and drives free
+    # until its target crosses and it is retargeted to none.
+    @pytest.mark.parametrize(
+        "rate, loss",
+        [(None, None), (0.3, None), (None, 1.0)],
+        ids=["nominal_intersection", "nominal_rate_0.3", "nominal_total_loss"],
+    )
+    def test_updates_are_exact(self, rate, loss, monkeypatch):
+        scenario = load_scenario(str(SCENARIOS / "nominal_intersection.yaml"))
+        if rate is not None:
+            random = dataclasses.replace(scenario.spawns.random, rate_per_leg=rate)
+            scenario = dataclasses.replace(
+                scenario, spawns=dataclasses.replace(scenario.spawns, random=random)
+            )
+        if loss is not None:
+            scenario = dataclasses.replace(
+                scenario, channel=dataclasses.replace(scenario.channel, loss_prob=loss)
+            )
+        full = engine_module.leader_estimate
+        refresh = engine_module.SimulationEngine._refresh_estimate
+        retarget = engine_module.SimulationEngine._retarget
+        refreshing = {}
+        retargeted = set()
+        counts = {"calls": 0, "updates": 0, "after_retarget": 0}
+
+        def probe_refresh(self, veh, now):
+            refreshing["vid"] = veh.vid
+            refresh(self, veh, now)
+
+        def probe_retarget(self, veh, target, now):
+            retargeted.add(veh.vid)
+            retarget(self, veh, target, now)
+
+        def probe_leader(now, own, params, previous=None):
+            counts["calls"] += 1
+            vid = refreshing["vid"]
+            if vid in retargeted:
+                retargeted.discard(vid)
+                counts["after_retarget"] += 1
+                assert previous is None
+            if previous is not None and _bits(previous.speeds[0], previous.positions[0]) == _bits(
+                own.speed, own.position
+            ):
+                counts["updates"] += 1
+            result = full(now, own, params, previous)
+            fresh = full(now, own, params)
+            assert _bits(*result.speeds, *result.positions) == _bits(
+                *fresh.speeds, *fresh.positions
+            )
+            return result
+
+        monkeypatch.setattr(engine_module.SimulationEngine, "_refresh_estimate", probe_refresh)
+        monkeypatch.setattr(engine_module.SimulationEngine, "_retarget", probe_retarget)
+        monkeypatch.setattr(engine_module, "leader_estimate", probe_leader)
+        run(scenario)
+        assert counts["updates"] >= 1
+        assert counts["after_retarget"] >= 1
+        assert counts["updates"] < counts["calls"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cavsim.estimation as estimation_module
 from cavsim.control import ControlGains, consensus_accel
 from cavsim.dynamics import DynamicsLimits, step_vehicle
 from cavsim.engine import SimulationEngine, _SimVehicle
@@ -27,6 +28,7 @@ from cavsim.types import Beacon, TargetView, TrajectoryEstimate, VehicleState, l
 
 from conftest import perfect_two_vehicle
 from estimation_oracle import (
+    array_compensated_follower,
     compensate_delay,
     follower_speeds,
     predict_follower_speed,
@@ -297,59 +299,132 @@ class TestPredictFollowerSpeed:
         assert explicit != implicit
 
 
+# Speeds with both zeros, which the speed clamps must keep apart.
+SPEEDS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 20.0))
+
+
+def read_only(values):
+    """A read-only float64 array, as the chain kernel hands out its samples."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
 @st.composite
-def follower_case(draw):
-    n_target = draw(st.integers(2, 12))
-    n_own = draw(st.integers(1, 14))
-    step = 0.1
-    anchor_speed = draw(st.floats(0.0, 20.0))
-    deltas = draw(
-        st.lists(st.floats(-0.4, 0.4), min_size=n_target, max_size=n_target)
+def received_case(draw):
+    """A received target horizon, its age, and a follower behind it.
+
+    Samples jump by up to 20 m/s, so an extrapolated speed often lands
+    below zero, and they include both zeros and, rarely, negative speeds;
+    the received horizon may be shorter than the follower's (padded tail)
+    and may be view-backed.
+    """
+    n_target = draw(st.integers(1, 12))
+    n_own = draw(st.integers(1, 16))
+    anchor_speed = draw(SPEEDS)
+    samples = st.one_of(SPEEDS, st.floats(-5.0, -1e-3)) if draw(st.booleans()) else SPEEDS
+    speeds = draw(st.lists(samples, min_size=n_target, max_size=n_target))
+    target_r = draw(st.floats(-50.0, 50.0))
+    est = estimate_from(speeds, anchor_time=1.0, anchor_speed=anchor_speed,
+                        anchor_position=target_r)
+    if draw(st.booleans()):
+        est = TrajectoryEstimate(
+            anchor_time=est.anchor_time, step=est.step, anchor_speed=est.anchor_speed,
+            anchor_position=est.anchor_position, speeds=read_only(est.speeds),
+            positions=read_only(est.positions),
+        )
+    # Held (below one 0.1 s step, exactly zero included) and extrapolated.
+    tau = draw(st.one_of(st.sampled_from([0.0, 0.03, 0.1, 0.25, 1.3]), st.floats(0.0, 2.0)))
+    gap = draw(st.one_of(st.just(0.0), st.floats(-2.0, 40.0)))
+    own = vstate(r=target_r - 5.0 - gap, v=draw(SPEEDS))
+    gains = ControlGains(
+        k=draw(st.floats(0.1, 2.0)),
+        gamma=draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
+        alpha=draw(st.sampled_from([0, 1])),
     )
-    speeds = []
-    v = anchor_speed
-    for d in deltas:
-        v = max(0.0, v + d)
-        speeds.append(v)
-    anchor_time = draw(st.floats(0.0, 5.0))
-    tau = draw(st.sampled_from([0.0, 0.03, 0.1, 0.25, 1.3]))
-    own_v = draw(st.floats(0.0, 20.0))
-    own_r = draw(st.floats(-50.0, 50.0))
-    target_r = own_r + draw(st.floats(5.0, 60.0))
-    est = estimate_from(
-        speeds, anchor_time=anchor_time, step=step,
-        anchor_speed=anchor_speed, anchor_position=target_r,
-    )
-    return est, tau, own_v, own_r, n_own
+    return est, tau, own, gains, n_own
 
 
 class TestFollowerEstimateEquivalence:
+    """``follower_estimate`` compensates each target sample inside its own
+    loop; its horizons equal the loop over numpy-compensated targets and
+    the per-sample oracle's, bit for bit."""
+
     @LIMIT_CASES
     @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
-    @given(case=follower_case())
-    @settings(max_examples=120)
+    @given(case=received_case())
+    @settings(max_examples=150, deadline=None)
     def test_fast_path_matches_scalar_composition(self, implicit, limits, case):
-        est, tau, own_v, own_r, n_own = case
+        est, tau, own, gains, n_own = case
         p = params(horizon_len=n_own, implicit_solve=implicit, limits=limits)
-        own = vstate(r=own_r, v=own_v)
-        beacon = Beacon(
-            sender=0,
-            send_time=est.anchor_time + tau,
-            state=vstate(r=est.anchor_position, v=est.anchor_speed),
-            estimate=est,
-        )
         now = est.anchor_time + tau
-        fast = follower_estimate(now, own, beacon, GAINS, 1.5, p)
+        beacon = Beacon(sender=0, send_time=now, state=vstate(r=est.anchor_position),
+                        estimate=est)
+        fast = follower_estimate(now, own, beacon, gains, 1.5, p)
+        speeds, positions = array_compensated_follower(now, own, beacon, gains, 1.5, p)
+        assert bits(fast.speeds) == bits(speeds)
+        assert bits(fast.positions) == bits(positions)
+        assert all(type(x) is float for x in (*fast.speeds, *fast.positions))
+        # No vehicle broadcasts a negative speed, and the per-sample oracle
+        # clamps a held one at zero where the numpy form never did.
+        if min(est.speeds) >= 0.0:
+            expected = follower_speeds(
+                own.speed, own.position, est, now - est.anchor_time, gains, 5.0, 1.5, p
+            )
+            assert bits(fast.speeds) == bits(expected)
+            assert bits(fast.positions) == bits(
+                integrate_position(own.position, own.speed, expected, p.prediction_step)
+            )
 
-        # scalar composition per horizon transition; the effective delay is
-        # the information age as the fast path derives it from "now"
-        expected = follower_speeds(
-            own.speed, own.position, est, now - est.anchor_time, GAINS, 5.0, 1.5, p
+    # With only the speed bounded, an infinite acceleration reaches the
+    # speed clamps.
+    @pytest.mark.parametrize(
+        "limits",
+        [UNBOUNDED, TIGHT_LIMITS, DynamicsLimits(math.inf, math.inf, 18.0)],
+        ids=["unbounded", "bounded", "speed_only"],
+    )
+    @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "where, tau, n_own",
+        [
+            ("first", 0.0, 8),
+            ("first", 0.25, 8),
+            ("middle", 0.03, 8),
+            ("middle", 0.25, 8),
+            # Only an extrapolating follower reads the last speed of a
+            # horizon as long as its own.
+            ("last", 0.25, 8),
+            # A shorter horizon's last position is read only by the tail.
+            ("tail", 0.0, 12),
+            ("tail", 0.25, 12),
+        ],
+    )
+    def test_non_finite_target_sample_raises(self, implicit, limits, bad, where, tau, n_own):
+        # One received sample is corrupt: its speed, and its position where
+        # the follower reads that position.
+        speeds = [10.0] * 8
+        positions = integrate_position(50.0, 10.0, speeds, 0.1)
+        anchor_speed, anchor_position = 10.0, 50.0
+        if where == "first":
+            anchor_speed = anchor_position = bad
+        elif where == "middle":
+            speeds[3] = positions[3] = bad
+        elif where == "last":
+            speeds[7] = bad
+        else:
+            positions[7] = bad
+        est = unchecked(
+            TrajectoryEstimate, anchor_time=0.0, step=0.1, anchor_speed=anchor_speed,
+            anchor_position=anchor_position, speeds=tuple(speeds), positions=tuple(positions),
         )
-        assert bits(fast.speeds) == bits(expected)
-        assert bits(fast.positions) == bits(
-            integrate_position(own.position, own.speed, expected, p.prediction_step)
-        )
+        p = params(horizon_len=n_own, implicit_solve=implicit, limits=limits)
+        beacon = Beacon(sender=0, send_time=tau, state=vstate(r=50.0), estimate=est)
+        own = vstate(r=20.0, v=10.0)
+        with pytest.raises(NumericFault), np.errstate(invalid="ignore"):
+            array_compensated_follower(tau, own, beacon, GAINS, 1.5, p)
+        with pytest.raises(NumericFault):
+            follower_estimate(tau, own, beacon, GAINS, 1.5, p)
 
     @pytest.mark.parametrize("limits", [UNBOUNDED, TIGHT_LIMITS], ids=["unbounded", "bounded"])
     @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
@@ -443,8 +518,60 @@ class TestFollowerEstimateEquivalence:
         assert out.anchor_time == 1.1
 
 
-# Speeds with both zeros, which the speed clamps must keep apart.
-SPEEDS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 20.0))
+class TestLeaderUpdate:
+    """A free-driving vehicle standing exactly at its first predicted sample
+    advances its previous horizon by one sample."""
+
+    @staticmethod
+    def _count_lengths(monkeypatch):
+        """The sample counts ``_leader_horizon`` is asked for, in call order."""
+        lengths = []
+        full = estimation_module._leader_horizon
+
+        def counted(p, v_now, r_now, n):
+            lengths.append(n)
+            return full(p, v_now, r_now, n)
+
+        monkeypatch.setattr(estimation_module, "_leader_horizon", counted)
+        return lengths
+
+    @pytest.mark.parametrize("limits", [UNBOUNDED, SATURATING], ids=["unbounded", "saturating"])
+    # From standstill, approaching, at the fixed point (v_target is 15 m/s),
+    # and braking from above it and from above the speed cap.
+    @pytest.mark.parametrize("v_now", [0.0, 9.0, 15.0, 17.0, 30.0])
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    def test_updates_equal_full_recomputations(self, limits, v_now, n, monkeypatch):
+        p = params(horizon_len=n, limits=limits)
+        lengths = self._count_lengths(monkeypatch)
+        est = leader_estimate(0.0, vstate(r=-3.0, v=v_now), p)
+        for step in range(1, 61):
+            own = vstate(r=est.positions[0], v=est.speeds[0])
+            updated = leader_estimate(step * 0.1, own, p, previous=est)
+            fresh = leader_estimate(step * 0.1, own, p)
+            assert isinstance(updated.speeds, tuple) and isinstance(updated.positions, tuple)
+            assert bits(updated.speeds) == bits(fresh.speeds)
+            assert bits(updated.positions) == bits(fresh.positions)
+            assert (updated.anchor_time, updated.step) == (fresh.anchor_time, fresh.step)
+            assert bits([updated.anchor_speed, updated.anchor_position]) == bits(
+                [own.speed, own.position]
+            )
+            est = updated
+        # One full horizon, then per step one new sample for the update and
+        # a full horizon for the comparison.
+        assert lengths == [n] + [1, n] * 60
+
+    def test_any_other_state_is_predicted_from_scratch(self, monkeypatch):
+        p = params(horizon_len=5)
+        est = leader_estimate(0.0, vstate(r=0.0, v=0.0), p)
+        v1, r1 = est.speeds[0], est.positions[0]
+        assert bits([r1]) == bits([0.0])
+        lengths = self._count_lengths(monkeypatch)
+        # One bit off in the speed, the position, or the position's sign.
+        for v, r in ((math.nextafter(v1, 1.0), r1), (v1, math.nextafter(r1, 1.0)), (v1, -0.0)):
+            leader_estimate(0.1, vstate(r=r, v=v), p, previous=est)
+        assert lengths == [5, 5, 5]
+        leader_estimate(0.1, vstate(r=r1, v=v1), p, previous=est)
+        assert lengths == [5, 5, 5, 1]
 
 
 @st.composite
