@@ -21,8 +21,11 @@ Per-step phase order (identical every step, deterministic given the seed):
    On a prediction boundary, an order of at least ``CHAIN_BATCH_MIN``
    vehicles on a channel that can neither delay nor drop, in the explicit
    form, gets its followers' horizons from one vectorised pass computed
-   when its head has sent (``chain_follower_horizons``). Delivery and
-   sending run unchanged; a follower takes its row only if the beacon it
+   when its head has sent (``chain_follower_horizons``). The head has no
+   target, so the horizon it sends is the ``leader_estimate`` it has just
+   refreshed: anchored at this step and full length, the pass's
+   precondition, which this call site owns. Delivery and sending run
+   unchanged; a follower takes its row only if the beacon it
    just consumed was sent this step and carries the very horizon the row
    was computed from, which makes the row its ``follower_estimate`` bit for
    bit. Otherwise it and the rest of the order refresh one by one, so the

@@ -22,18 +22,17 @@ loss, and matching steps.
 
 A wide chain refreshed on a channel that neither delays nor drops can
 compute all its followers' horizons in one pass (``chain_follower_horizons``):
-each follower then consumes its target's horizon of the same step, so
-transition k of every follower needs only sample k-1 of its target, and
-one loop over the samples steps the whole chain as one vector. Every
-vector operation is the scalar loop's operation in the same order, with
-the lower speed clamp as a masked copy that keeps -0.0 as the branch does,
-so each horizon is byte-identical to ``follower_estimate``'s. The engine
-decides when to use it (see ``engine.CHAIN_BATCH_MIN``).
+each follower then consumes its target's horizon of the same step, the
+head's included, so every target horizon is aged 0 and read as it is, and
+transition k of every follower needs only sample k-1 of its target; one
+loop over the samples steps the whole chain as one vector. Every vector
+operation is the scalar loop's operation in the same order, with the lower
+speed clamp as a masked copy that keeps -0.0 as the branch does, so each
+horizon is byte-identical to ``follower_estimate``'s. The engine decides
+when to use it (see ``engine.CHAIN_BATCH_MIN``).
 
-Delay compensation is written twice, once per path: ``follower_estimate``
-compensates each target sample inside its own loop, and
-``_compensated_target_arrays`` is the same arithmetic in vector form, the
-chain kernel's first column. Tests pin the two to each other bit for bit.
+Delay compensation is written once, inside ``follower_estimate``'s loop;
+the chain kernel needs none.
 
 A free-driving refresh usually finds the vehicle exactly (the same bits)
 at the first sample of its previous horizon: with the simulation step equal
@@ -51,9 +50,10 @@ or turn a view into Python floats first, as ``follower_estimate`` and the
 held shift do, so no numpy scalar reaches an output row.
 
 The scalar per-sample forms of delay compensation and the follower
-transition, and the follower loop over numpy-compensated targets, live in
-the test suite as the reference oracle; tests pin the recursions here, the
-batched one included, to them bit for bit.
+transition, the vector form of delay compensation, and the follower loop
+over its numpy-compensated targets live in the test suite as the reference
+oracle; tests pin the recursions here, the batched one included, to them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -238,58 +238,6 @@ def build_estimate(
     )
 
 
-def _compensated_target_arrays(
-    target_est: TrajectoryEstimate,
-    tau: float,
-    horizon_len: int,
-    dt: float,
-) -> tuple[list[float], list[float]]:
-    """Delay-compensated target speed and position for every transition.
-
-    Transition k (1..horizon_len) consumes the target's sample k-1. For a
-    delay below one prediction step that speed is held; for a longer delay
-    it is extrapolated forward by (tau/dt) per-step speed deltas
-    (first-order hold) and clamped at zero. The position is the sample k-1
-    position advanced by the compensated speed over the delay. When the
-    received horizon is shorter than ours, its final sample is held and
-    dead-reckoned forward. A non-finite final sample or result raises
-    NumericFault.
-    """
-    n_t = target_est.horizon_len
-    samples = np.empty(n_t + 1)
-    samples[0] = target_est.anchor_speed
-    samples[1:] = target_est.speeds
-    pos = np.empty(n_t + 1)
-    pos[0] = target_est.anchor_position
-    pos[1:] = target_est.positions
-    n = min(horizon_len, n_t)
-    base_v = samples[:n]
-    if tau < dt:
-        v_adj = base_v.copy()
-    else:
-        v_adj = base_v + (tau / dt) * (samples[1 : n + 1] - base_v)
-        # The clamp would turn -inf into 0 m/s.
-        if (v_adj == -math.inf).any():
-            raise NumericFault(_NON_FINITE_TARGET)
-        np.maximum(v_adj, 0.0, out=v_adj)
-    r_adj = pos[:n] + v_adj * tau
-    if horizon_len > n_t:
-        v_last = samples[n_t]
-        # max() would turn a NaN final speed into 0 m/s.
-        if not math.isfinite(v_last):
-            raise NumericFault("non-finite final sample in the received target horizon")
-        r_last = pos[n_t]
-        ks = np.arange(n_t + 1, horizon_len + 1, dtype=float)
-        v_pad = np.full(horizon_len - n_t, max(0.0, v_last))
-        r_pad = r_last + v_pad * ((ks - 1 - n_t) * dt + tau)
-        v_adj = np.concatenate([v_adj, v_pad])
-        r_adj = np.concatenate([r_adj, r_pad])
-    # Every speed enters a position, so a finite r_adj implies a finite v_adj.
-    if not np.isfinite(r_adj).all():
-        raise NumericFault(_NON_FINITE_TARGET)
-    return v_adj.tolist(), r_adj.tolist()
-
-
 def follower_estimate(
     now: SimTime,
     own: VehicleState,
@@ -311,9 +259,12 @@ def follower_estimate(
     ``now - estimate.anchor_time``: with per-step refresh that equals the
     beacon age, while with coarse prediction steps it additionally covers
     the sender's anchor being older than the beacon. Each transition
-    compensates the target sample it consumes inside the loop, with the
-    arithmetic of ``_compensated_target_arrays`` (the chain kernel's vector
-    form, whose docstring states it) in the same operation order.
+    compensates the target sample it consumes inside the loop: transition k
+    consumes sample k-1, whose speed is held as it is below one prediction
+    step and above it extrapolated by (tau/dt) per-step speed deltas
+    (first-order hold) and clamped at zero; its position is advanced by the
+    compensated speed times tau. Past the end of a shorter received horizon
+    the final sample is held and dead-reckoned forward.
 
     A non-finite received sample raises NumericFault. It makes every later
     sample non-finite unless a clamp absorbs it, so each clamp branch checks
@@ -433,12 +384,16 @@ def chain_follower_horizons(
     """Explicit-form horizons of a chain of followers refreshed at ``now``.
 
     Follower 1 follows ``beacon``; follower i+1 follows follower i's horizon
-    of this step, whose age is 0, so its samples are the targets as they are.
-    Transition k of every follower then needs only sample k-1 of its target,
-    and one loop over the samples steps the whole chain as one vector, in
-    the operation order of ``follower_estimate``'s explicit branch. Each
-    result equals the estimate ``follower_estimate`` returns for that
-    follower from the previous follower's, bit for bit.
+    of this step. Precondition, owned by the engine's call site (an order
+    head's fresh horizon under the ``_batch_chains`` gate) and not
+    re-checked: ``beacon.estimate.anchor_time == now`` and
+    ``beacon.estimate.horizon_len == params.horizon_len``. So every target
+    horizon is aged 0 and full length, and its samples are the targets as
+    they are. Transition k of every follower needs only sample k-1 of its
+    target, and one loop over the samples steps the whole chain as one
+    vector, in the operation order of ``follower_estimate``'s explicit
+    branch. Each result equals the estimate ``follower_estimate`` returns
+    for that follower from the previous follower's, bit for bit.
 
     The estimates come in chain order and each is built when it is asked
     for. Their samples are read-only column views of the pass's two sample
@@ -449,15 +404,15 @@ def chain_follower_horizons(
     n = params.horizon_len
     m = len(followers)
     dt = params.prediction_step
-    v_adj, r_adj = _compensated_target_arrays(
-        beacon.estimate, now - beacon.estimate.anchor_time, n, dt
-    )
-    # Row k holds sample k, column 0 the first target's compensated samples
-    # and column i follower i's, so row k's targets are the view [k, :-1].
+    head = beacon.estimate
+    # Row k holds sample k, column 0 the first target's samples and column i
+    # follower i's, so row k's targets are the view [k, :-1].
     speeds = np.empty((n + 1, m + 1))
     positions = np.empty((n + 1, m + 1))
-    speeds[:n, 0] = v_adj
-    positions[:n, 0] = r_adj
+    speeds[0, 0] = head.anchor_speed
+    positions[0, 0] = head.anchor_position
+    speeds[1:n, 0] = head.speeds[:-1]
+    positions[1:n, 0] = head.positions[:-1]
     speeds[0, 1:] = [state.speed for state, _ in followers]
     positions[0, 1:] = [state.position for state, _ in followers]
     l_target = np.array([beacon.state.length, *(state.length for state, _ in followers[:-1])])

@@ -2,9 +2,12 @@
 
 ``cavsim.estimation`` computes whole horizons in one loop per vehicle role.
 Most functions here state one transition at a time, in the operation order
-of the published recursion; ``array_compensated_follower`` is the follower
-loop over delay compensation done up front in numpy, the form the scalar
-loop replaced. The tests compare the fast loops against them bit for bit.
+of the published recursion. ``_compensated_target_arrays`` is delay
+compensation in vector form, a whole received horizon compensated up front
+in numpy, and ``array_compensated_follower`` is the follower loop over its
+result; ``cavsim.estimation`` compensates inside ``follower_estimate``'s
+loop only, since the chain kernel reads age-0 horizons as they are. The
+tests compare the fast loops against these forms bit for bit.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ from __future__ import annotations
 import logging
 import math
 
+import numpy as np
+
 from cavsim.control import ControlGains
 from cavsim.errors import NumericFault
-from cavsim.estimation import EstimatorParams, _compensated_target_arrays
+from cavsim.estimation import _NON_FINITE_TARGET, EstimatorParams
 from cavsim.types import Beacon, TrajectoryEstimate, VehicleState
 
 log = logging.getLogger(__name__)
@@ -65,7 +70,8 @@ def compensate_delay(
     The transition from sample k-1 to k consumes the target's sample k-1,
     so the lookup baselines there. For tau below one prediction step the
     stale speed is held unchanged; for larger tau it is extrapolated forward
-    by (tau/dt) per-step speed deltas (first-order hold). The position is
+    by (tau/dt) per-step speed deltas (first-order hold) and clamped at
+    zero, as ``cavsim.estimation.follower_estimate`` does. The position is
     the previous sample advanced by the compensated speed over the delay:
 
         r_adj = r[k-1] + v_adj * tau
@@ -91,10 +97,10 @@ def compensate_delay(
             )
         delta = target_est.speed_at(base + 1) - target_est.speed_at(base)
         v_adj = target_est.speed_at(base) + (tau / dt) * delta
-    # max() would turn NaN and -inf into 0 m/s.
-    if not math.isfinite(v_adj):
-        raise NumericFault(f"non-finite compensated target speed {v_adj}")
-    v_adj = max(0.0, v_adj)
+        # max() would turn NaN and -inf into 0 m/s.
+        if not math.isfinite(v_adj):
+            raise NumericFault(f"non-finite compensated target speed {v_adj}")
+        v_adj = max(0.0, v_adj)
     r_adj = target_est.position_at(k - 1) + v_adj * tau
     return v_adj, r_adj
 
@@ -191,6 +197,58 @@ def follower_speeds(
     return speeds
 
 
+def _compensated_target_arrays(
+    target_est: TrajectoryEstimate,
+    tau: float,
+    horizon_len: int,
+    dt: float,
+) -> tuple[list[float], list[float]]:
+    """Delay-compensated target speed and position for every transition.
+
+    Transition k (1..horizon_len) consumes the target's sample k-1. For a
+    delay below one prediction step that speed is held; for a longer delay
+    it is extrapolated forward by (tau/dt) per-step speed deltas
+    (first-order hold) and clamped at zero. The position is the sample k-1
+    position advanced by the compensated speed over the delay. When the
+    received horizon is shorter than ours, its final sample is held and
+    dead-reckoned forward. A non-finite final sample or result raises
+    NumericFault.
+    """
+    n_t = target_est.horizon_len
+    samples = np.empty(n_t + 1)
+    samples[0] = target_est.anchor_speed
+    samples[1:] = target_est.speeds
+    pos = np.empty(n_t + 1)
+    pos[0] = target_est.anchor_position
+    pos[1:] = target_est.positions
+    n = min(horizon_len, n_t)
+    base_v = samples[:n]
+    if tau < dt:
+        v_adj = base_v.copy()
+    else:
+        v_adj = base_v + (tau / dt) * (samples[1 : n + 1] - base_v)
+        # The clamp would turn -inf into 0 m/s.
+        if (v_adj == -math.inf).any():
+            raise NumericFault(_NON_FINITE_TARGET)
+        np.maximum(v_adj, 0.0, out=v_adj)
+    r_adj = pos[:n] + v_adj * tau
+    if horizon_len > n_t:
+        v_last = samples[n_t]
+        # max() would turn a NaN final speed into 0 m/s.
+        if not math.isfinite(v_last):
+            raise NumericFault("non-finite final sample in the received target horizon")
+        r_last = pos[n_t]
+        ks = np.arange(n_t + 1, horizon_len + 1, dtype=float)
+        v_pad = np.full(horizon_len - n_t, max(0.0, v_last))
+        r_pad = r_last + v_pad * ((ks - 1 - n_t) * dt + tau)
+        v_adj = np.concatenate([v_adj, v_pad])
+        r_adj = np.concatenate([r_adj, r_pad])
+    # Every speed enters a position, so a finite r_adj implies a finite v_adj.
+    if not np.isfinite(r_adj).all():
+        raise NumericFault(_NON_FINITE_TARGET)
+    return v_adj.tolist(), r_adj.tolist()
+
+
 def array_compensated_follower(
     now: float,
     own: VehicleState,
@@ -201,7 +259,7 @@ def array_compensated_follower(
 ) -> tuple[list[float], list[float]]:
     """A follower's speeds and positions, with every transition's
     compensated target sample computed first, in numpy, by
-    ``_compensated_target_arrays`` (the chain kernel's column-0 builder)."""
+    ``_compensated_target_arrays``."""
     dt = params.prediction_step
     v_adj, r_adj = _compensated_target_arrays(
         beacon.estimate, now - beacon.estimate.anchor_time, params.horizon_len, dt

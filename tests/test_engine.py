@@ -435,6 +435,23 @@ class TestBatchedChainHorizons:
         assert batched == scalar
         assert batched_out == scalar_out
 
+    @pytest.mark.parametrize("sim_step", [0.02, 0.1])
+    def test_kernel_gets_its_heads_age_0_full_horizon(self, sim_step, monkeypatch):
+        # The kernel compensates nothing: the engine owns its precondition
+        # and hands it the order head's horizon of this very step.
+        kernel = engine_module.chain_follower_horizons
+        calls = []
+
+        def checked(now, beacon, followers, t_gap, params):
+            assert beacon.estimate.anchor_time == now
+            assert beacon.estimate.horizon_len == params.horizon_len
+            calls.append(now)
+            return kernel(now, beacon, followers, t_gap, params)
+
+        monkeypatch.setattr(engine_module, "chain_follower_horizons", checked)
+        run(_ideal_chain(sim_step))
+        assert len(calls) == 5
+
     def test_one_step_ahead_estimate_is_the_plant(self, monkeypatch):
         # Criterion 1 on the batched chain: at matching steps every vehicle's
         # first horizon sample is its next plant state, bit for bit.

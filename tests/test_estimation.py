@@ -365,16 +365,13 @@ class TestFollowerEstimateEquivalence:
         assert bits(fast.speeds) == bits(speeds)
         assert bits(fast.positions) == bits(positions)
         assert all(type(x) is float for x in (*fast.speeds, *fast.positions))
-        # No vehicle broadcasts a negative speed, and the per-sample oracle
-        # clamps a held one at zero where the numpy form never did.
-        if min(est.speeds) >= 0.0:
-            expected = follower_speeds(
-                own.speed, own.position, est, now - est.anchor_time, gains, 5.0, 1.5, p
-            )
-            assert bits(fast.speeds) == bits(expected)
-            assert bits(fast.positions) == bits(
-                integrate_position(own.position, own.speed, expected, p.prediction_step)
-            )
+        expected = follower_speeds(
+            own.speed, own.position, est, now - est.anchor_time, gains, 5.0, 1.5, p
+        )
+        assert bits(fast.speeds) == bits(expected)
+        assert bits(fast.positions) == bits(
+            integrate_position(own.position, own.speed, expected, p.prediction_step)
+        )
 
     # With only the speed bounded, an infinite acceleration reaches the
     # speed clamps.
@@ -576,24 +573,23 @@ class TestLeaderUpdate:
 
 @st.composite
 def chain_case(draw):
-    """A received target horizon and a chain of 1-8 followers behind it.
+    """The head's horizon of this step and a chain of 1-8 followers behind it.
 
-    A follower at -0.0 m/s that touches its target (gap 0) gets accel -0.0
-    and keeps -0.0, which only the masked lower speed clamp preserves.
+    The kernel reads that horizon as it is: age 0 and full length. Aged and
+    short received horizons are compared with the oracle in
+    ``TestFollowerEstimateEquivalence``. A follower at -0.0 m/s that
+    touches its target (gap 0) gets accel -0.0 and keeps -0.0, which only
+    the masked lower speed clamp preserves.
     """
     n = draw(st.integers(1, 12))
-    # Shorter than our horizon exercises the padding branch.
-    n_target = draw(st.integers(1, n))
     anchor_speed = draw(SPEEDS)
     speeds = []
     v = anchor_speed
-    for d in draw(st.lists(st.floats(-0.4, 0.4), min_size=n_target, max_size=n_target)):
+    for d in draw(st.lists(st.floats(-0.4, 0.4), min_size=n, max_size=n)):
         v = max(0.0, v + d)
         speeds.append(v)
     head_r = draw(st.floats(-50.0, 50.0))
     target = estimate_from(speeds, anchor_time=1.0, anchor_speed=anchor_speed, anchor_position=head_r)
-    # Aged 0, below one prediction step, and beyond it.
-    tau = draw(st.sampled_from([0.0, 0.03, 0.25, 1.3]))
     followers = []
     r, length = head_r, 5.0
     for _ in range(draw(st.integers(1, 8))):
@@ -606,7 +602,7 @@ def chain_case(draw):
             alpha=draw(st.sampled_from([0, 1])),
         )
         followers.append((vstate(r=r, v=draw(SPEEDS), length=length), gains))
-    return target, tau, n, followers
+    return target, n, followers
 
 
 class TestChainFollowerHorizons:
@@ -614,21 +610,21 @@ class TestChainFollowerHorizons:
     @given(case=chain_case())
     @settings(max_examples=80, derandomize=True, deadline=None)
     def test_matches_scalar_chain_and_oracle(self, limits, case):
-        target, tau, n, followers = case
+        target, n, followers = case
         p = params(horizon_len=n, limits=limits)
-        now = target.anchor_time + tau
+        now = target.anchor_time
         beacon = Beacon(sender=0, send_time=now, state=vstate(r=target.anchor_position),
                         estimate=target)
         rows = list(chain_follower_horizons(now, beacon, followers, 1.5, p))
         assert len(rows) == len(followers)
         # The oracle composes each transition from compensate_delay and
-        # predict_follower_speed; follower i+1's target is follower i's
-        # horizon of the same step, aged 0.
-        oracle_target, oracle_tau, l_target = target, now - target.anchor_time, 5.0
+        # predict_follower_speed; every target, the first included, is a
+        # horizon of this step, aged 0.
+        oracle_target, l_target = target, 5.0
         for (own, gains), row in zip(followers, rows):
             scalar = follower_estimate(now, own, beacon, gains, 1.5, p)
             expected = follower_speeds(
-                own.speed, own.position, oracle_target, oracle_tau, gains, l_target, 1.5, p
+                own.speed, own.position, oracle_target, 0.0, gains, l_target, 1.5, p
             )
             expected_positions = integrate_position(own.position, own.speed, expected, 0.1)
             assert bits(row.speeds) == bits(scalar.speeds) == bits(expected)
@@ -639,7 +635,7 @@ class TestChainFollowerHorizons:
             oracle_target = estimate_from(
                 expected, anchor_time=now, anchor_speed=own.speed, anchor_position=own.position
             )
-            oracle_tau, l_target = 0.0, own.length
+            l_target = own.length
 
     def test_non_finite_row_is_left_to_the_scalar_path(self):
         # Follower 1's position overflows in its first transition: its
