@@ -3,7 +3,11 @@ controller, and intersection coordination.
 
 Per-step phase order (identical every step, deterministic given the seed):
 
-1. spawn due vehicles (deferred while the same-leg spawn gap is blocked)
+1. spawn due vehicles (deferred while the same-leg spawn gap is blocked):
+   the pending events are sorted by time, so the due ones are a prefix of
+   them and a step examines only that prefix; each due event is tried in
+   turn, and the blocked ones stay at the front in their order, to be tried
+   first on the next step
 2. advance the plant one step with the previous step's commands
 3. update each intersection's crossing order (``SimulationEngine.orders``)
    in one walk over the vehicles: a vehicle that crosses leaves its order,
@@ -312,14 +316,14 @@ class SimulationEngine:
     # -- phase 1 -------------------------------------------------------
 
     def _spawn_due(self, now: float) -> None:
-        remaining: list[SpawnEvent] = []
-        for event in self._pending_spawns:
-            if event.time > now + 1e-12:
-                remaining.append(event)
-                continue
-            if not self._try_spawn(event, now):
-                remaining.append(event)
-        self._pending_spawns = remaining
+        # The events are sorted by time, so the due ones are a prefix; the
+        # blocked ones stay in front, in their order, and go first next step.
+        pending = self._pending_spawns
+        due = 0
+        while due < len(pending) and pending[due].time <= now + 1e-12:
+            due += 1
+        if due:
+            pending[:due] = [event for event in pending[:due] if not self._try_spawn(event, now)]
 
     def _try_spawn(self, event: SpawnEvent, now: float) -> bool:
         spec = self.intersections[event.intersection]

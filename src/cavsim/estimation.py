@@ -395,6 +395,10 @@ def chain_follower_horizons(
     branch. Each result equals the estimate ``follower_estimate`` returns
     for that follower from the previous follower's, bit for bit.
 
+    The scalar operands (time gap, step, bounds and the zero of the lower
+    clamp) are 0-d float64 arrays, built once per call: numpy then converts
+    no Python float per operation, and the results are the same bits.
+
     The estimates come in chain order and each is built when it is asked
     for. Their samples are read-only column views of the pass's two sample
     arrays, which the whole chain's estimates share, so a refresh allocates
@@ -418,9 +422,10 @@ def chain_follower_horizons(
     l_target = np.array([beacon.state.length, *(state.length for state, _ in followers[:-1])])
     neg_gain = np.array([-gains.alpha * gains.k for _, gains in followers])
     gamma = np.array([gains.gamma for _, gains in followers])
-    neg_decel = -params.limits.decel_max
-    accel_max = params.limits.accel_max
-    speed_max = params.limits.speed_max
+    t_gap, step, zero = np.array(t_gap), np.array(dt), np.array(0.0)
+    neg_decel = np.array(-params.limits.decel_max)
+    accel_max = np.array(params.limits.accel_max)
+    speed_max = np.array(params.limits.speed_max)
     accel = np.empty(m)
     term = np.empty(m)
     below_zero = np.empty(m, dtype=bool)
@@ -451,13 +456,13 @@ def chain_follower_horizons(
             # Both bounds are non-zero, so max/min equal the scalar branches.
             maximum(accel, neg_decel, out=accel)
             minimum(accel, accel_max, out=accel)
-            multiply(v, dt, r_next)
+            multiply(v, step, r_next)
             add(r_next, r, r_next)
-            multiply(accel, dt, accel)
+            multiply(accel, step, accel)
             add(v, accel, v_next)
             # A masked copy keeps -0.0 as `if v < 0.0` does; maximum would not.
-            less(v_next, 0.0, below_zero)
-            v_next[below_zero] = 0.0
+            less(v_next, zero, below_zero)
+            v_next[below_zero] = zero
             minimum(v_next, speed_max, out=v_next)
     finite = np.isfinite(speeds[n, 1:]) & np.isfinite(positions[n, 1:])
     # Views taken after this are read-only; the estimates share the arrays.

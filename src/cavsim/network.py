@@ -81,7 +81,10 @@ class ChannelModel:
         return self.loss_prob == 0.0 and self.delay_std == 0.0 and self.burst is None
 
     def in_nlos(self, t: SimTime) -> bool:
-        return any(start <= t < end for start, end in self.nlos_windows)
+        for start, end in self.nlos_windows:
+            if start <= t < end:
+                return True
+        return False
 
     def link_impaired(self, sender: VehicleId, receiver: VehicleId | None) -> bool:
         if self.impaired_vehicles is None:

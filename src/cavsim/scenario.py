@@ -11,6 +11,7 @@ it as one list of vehicle ids per intersection (``SimulationEngine.orders``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -35,6 +36,9 @@ class IntersectionSpec:
     The crossing point sits at virtual coordinate ``crossing_coord`` (the
     longest approach, so every spawn point maps to a non-negative
     coordinate). ``conflict_zone_length`` is centred on the crossing point.
+    The spec is frozen, so ``crossing_coord`` is computed once per spec, on
+    first use; it is not a field, so ``dataclasses.asdict`` and the
+    normalised scenario leave it out.
     """
 
     id: str = field(metadata={"key": "id"})
@@ -54,7 +58,7 @@ class IntersectionSpec:
                     f"than control_zone_radius {self.control_zone_radius}"
                 )
 
-    @property
+    @cached_property
     def crossing_coord(self) -> float:
         return max(leg.approach_length for leg in self.legs)
 

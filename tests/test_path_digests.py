@@ -1,9 +1,8 @@
-"""Byte-identical results of short runs on the batched chain kernel's path.
+"""Byte-identical results of short runs, one per engine path.
 
 ``test_output_digests.py`` pins the shipped scenarios, whose crossing
-orders are too short for the kernel. Here ``timing_bench``'s 150-vehicle
-order on an ideal channel (400-sample horizons, 0.5 s, one kernel call per
-0.1 s prediction boundary) is pinned twice per run:
+orders are too short for the batched chain kernel and which take few of the
+engine's other paths. Here each run is pinned twice:
 
 - the sha256 of ``trajectory.csv`` followed by ``metrics.csv``;
 - the sha256 of every vehicle's own horizon at every step.
@@ -13,10 +12,25 @@ control view is its target's beacon state aged by a zero delay, and no
 horizon sample reaches the CSV files: they pin the run around the kernel,
 and only the horizon digest pins what the kernel computes.
 
-The runs are the chain at simulation steps of 0.02 s and 0.1 s, and a
-braking chain: the head starts at standstill and every follower at 20 m/s,
-so the followers' horizons brake to a stop and the kernel's lower speed
-clamp binds.
+The kernel runs are ``timing_bench``'s 150-vehicle order on an ideal
+channel (400-sample horizons, 0.5 s, one kernel call per 0.1 s prediction
+boundary): the chain at simulation steps of 0.02 s and 0.1 s, and a braking
+chain, whose head starts at standstill and every follower at 20 m/s, so the
+followers' horizons brake to a stop and the kernel's lower speed clamp
+binds.
+
+The other runs take no kernel; each asserts that it takes its path:
+
+- spawns deferred by ``min_spawn_gap`` on three legs (``nominal_twenty`` at
+  ``rate_per_leg`` 0.3, 60 s);
+- two intersections, each with its own crossing order and geometry;
+- NLOS windows on ``impaired_vehicles``' links only, whose last window ends
+  on a simulation step;
+- Gilbert-Elliott burst loss;
+- ``record_every: 3``;
+- the ``implicit_solve`` estimator form;
+- the free-driving leaders' one-sample horizon update, on the benchmark's
+  ``long_traffic`` seed-1 document cut to 120 s.
 
 A change that is meant to keep every result must keep these digests; a
 change that moves one must update it and say why. The values were recorded
@@ -25,15 +39,24 @@ with Python 3.11 and numpy 2.4, and are for that toolchain.
 
 import dataclasses
 import hashlib
+import importlib.util
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cavsim.engine as engine_module
+import cavsim.network as network_module
 from cavsim.cli import write_metrics_csv, write_trajectory_csv
-from cavsim.engine import run
+from cavsim.config import parse_scenario
+from cavsim.engine import SimulationEngine, run
+from cavsim.network import DROPPED, BurstLossModel, ChannelModel
+from cavsim.scenario import IntersectionSpec, LegSpec, RandomSpawnSpec, SpawnPlan
 
-from conftest import timing_bench
+from conftest import nominal_twenty, paper_stress, timing_bench
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _chain(sim_step, head_speed=None):
@@ -73,13 +96,21 @@ CASES = {
 }
 
 
-def run_digests(scenario, tmp_path):
-    """The run's CSV digest and horizon digest."""
+def run_digests(scenario, tmp_path, watch=None):
+    """The run's CSV digest and horizon digest.
+
+    ``watch``, if given, is called as an ``on_step`` probe too. A vehicle
+    that has no horizon yet adds nothing to the horizon digest.
+    """
     horizons = hashlib.sha256()
 
     def probe(engine, now):
+        if watch is not None:
+            watch(engine, now)
         for vid, veh in engine.vehicles.items():
             est = veh.est.own_estimate
+            if est is None:
+                continue
             head = (now, vid, est.anchor_time, est.anchor_speed, est.anchor_position)
             horizons.update(np.array(head, dtype=float).tobytes())
             horizons.update(np.asarray(est.speeds, dtype=float).tobytes())
@@ -108,4 +139,217 @@ def test_chain_kernel_run_matches_pinned_digests(name, tmp_path, monkeypatch):
     digests = run_digests(scenario, tmp_path)
     # One kernel call per prediction boundary: the run takes the path.
     assert len(calls) == 5
+    assert digests == (outputs, horizons)
+
+
+def _replace(scenario, section, **fields):
+    """``scenario`` with ``fields`` of one section replaced."""
+    return dataclasses.replace(
+        scenario, **{section: dataclasses.replace(getattr(scenario, section), **fields)}
+    )
+
+
+def _short_twenty():
+    """``nominal_twenty`` cut to 60 s."""
+    return _replace(nominal_twenty(), "engine", duration=60.0)
+
+
+def _deferred_spawns():
+    base = _short_twenty()
+    random = dataclasses.replace(base.spawns.random, rate_per_leg=0.3)
+    return _replace(base, "spawns", random=random)
+
+
+def _two_intersections():
+    base = _short_twenty()
+    second = IntersectionSpec(
+        id="y",
+        legs=(LegSpec("n", 300.0), LegSpec("s", 270.0)),
+        control_zone_radius=180.0,
+        conflict_zone_length=10.0,
+    )
+    return dataclasses.replace(
+        base,
+        channel=ChannelModel(delay_mean=0.02, delay_std=0.01, loss_prob=0.05),
+        intersections=(*base.intersections, second),
+        spawns=SpawnPlan(
+            random=RandomSpawnSpec(rate_per_leg=0.1, speed_min=10.0, speed_max=13.0),
+            min_spawn_gap=12.0,
+        ),
+    )
+
+
+def _burst_loss():
+    channel = ChannelModel(
+        delay_mean=0.02,
+        delay_std=0.01,
+        loss_prob=0.05,
+        burst=BurstLossModel(p_good_to_bad=0.1, p_bad_to_good=0.3),
+    )
+    return dataclasses.replace(_short_twenty(), channel=channel)
+
+
+def _long_traffic_seed_1():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    (doc,) = workloads.long_traffic(1)
+    doc["engine"]["duration_s"] = 120.0
+    return parse_scenario(doc)
+
+
+# Each path check patches what it watches and returns an ``on_step`` probe
+# (or None) and a predicate that holds once the run has taken the path.
+
+
+def _defers_spawns_on_several_legs(monkeypatch):
+    deferred = set()
+    try_spawn = SimulationEngine._try_spawn
+
+    def counted(self, event, now):
+        spawned = try_spawn(self, event, now)
+        if not spawned:
+            deferred.add(event.leg)
+        return spawned
+
+    monkeypatch.setattr(SimulationEngine, "_try_spawn", counted)
+    return None, lambda: len(deferred) > 1
+
+
+def _crosses_both_intersections(monkeypatch):
+    retired = set()
+
+    def watch(engine, now):
+        retired.update(veh.intersection for veh in engine.retired.values())
+
+    return watch, lambda: retired == {"x", "y"}
+
+
+def _drops_in_nlos_on_impaired_links_only(monkeypatch):
+    counts = Counter()
+    transmit = network_module.transmit
+
+    def counted(channel, beacon, now, stream, receiver=None):
+        result = transmit(channel, beacon, now, stream, receiver)
+        if channel.in_nlos(now):
+            impaired = channel.link_impaired(beacon.sender, receiver)
+            counts[impaired, result is DROPPED] += 1
+        return result
+
+    monkeypatch.setattr(network_module, "transmit", counted)
+    # (impaired, dropped): every impaired send in a window drops, and some
+    # send on a clean link in a window gets through.
+    return None, lambda: (
+        counts[True, True] > 0 and not counts[True, False] and counts[False, False] > 0
+    )
+
+
+def _enters_the_bad_state(monkeypatch):
+    seen = []
+
+    def watch(engine, now):
+        if any(stream.in_bad_state for stream in engine.channel._streams.values()):
+            seen.append(now)
+
+    return watch, lambda: len(seen) > 0
+
+
+def _records_every_third_step(monkeypatch):
+    steps = Counter()
+    record = SimulationEngine._record
+
+    def counted(self, result, step_index, now):
+        rows = len(result.trajectory)
+        record(self, result, step_index, now)
+        steps[step_index % 3 == 0, len(result.trajectory) > rows] += 1
+
+    monkeypatch.setattr(SimulationEngine, "_record", counted)
+    return None, lambda: steps[True, True] > 0 and not steps[False, True]
+
+
+def _solves_implicitly(monkeypatch):
+    calls = Counter()
+    follower = engine_module.follower_estimate
+
+    def counted(now, own, beacon, gains, t_gap, params):
+        calls[params.implicit_solve] += 1
+        return follower(now, own, beacon, gains, t_gap, params)
+
+    monkeypatch.setattr(engine_module, "follower_estimate", counted)
+    return None, lambda: calls[True] > 0 and not calls[False]
+
+
+def _updates_leader_horizons(monkeypatch):
+    counts = Counter()
+    leader = engine_module.leader_estimate
+
+    def counted(now, own, params, previous=None):
+        counts["updates"] += (
+            previous is not None
+            and previous.speeds[0] == own.speed
+            and previous.positions[0] == own.position
+        )
+        return leader(now, own, params, previous)
+
+    monkeypatch.setattr(engine_module, "leader_estimate", counted)
+    return None, lambda: counts["updates"] > 0
+
+
+# name: (scenario, path check, trajectory + metrics digest, horizon digest)
+ENGINE_PATH_CASES = {
+    "deferred_spawns": (
+        _deferred_spawns(),
+        _defers_spawns_on_several_legs,
+        "d55c8576a8e79c9ad978b9d9369a465dd0bd14bf02825fb08394493e39428d8b",
+        "0107619e1325b1d3a213c64bb787ae8c5378223d64e7fc23ee3d4ab9cffb6040",
+    ),
+    "two_intersections": (
+        _two_intersections(),
+        _crosses_both_intersections,
+        "1edbbed07d5e6b294686f7c063f2d430f9a5a6b11bfaacd738c3aae5f4d6e38b",
+        "1ad0fa8bb2340c0e141a37c380ae3a686dcb89029a990b53bfc00496b3764864",
+    ),
+    "nlos_impaired": (
+        paper_stress(prediction_step=0.1, duration=10.0),
+        _drops_in_nlos_on_impaired_links_only,
+        "f02068c99f89f4f18f1689d8a8c01c2f4fc5e65facf9375fabd8fbb585cc380f",
+        "2a35189abac0138aee6c3d496a9fb293002a76eb6652773420de8965eca23faa",
+    ),
+    "burst_loss": (
+        _burst_loss(),
+        _enters_the_bad_state,
+        "4be3e7e9403f5179c29276b65eff74d050cf5efb56a8506772de34fdf1ef3a30",
+        "9d9929cbcecb65dd6407c327732ba77f35e11d99119465a402da76c662997dfb",
+    ),
+    "record_every_3": (
+        _replace(_short_twenty(), "engine", record_every=3),
+        _records_every_third_step,
+        "372e6d05ae2b61d13800df1c1566093e0580a88f3cabb2c6f5d72a66bf13efdd",
+        "a807a5f4ffbe61de17f520953af51f4524574c911626b274acf6a5333085389b",
+    ),
+    "implicit_solve": (
+        _replace(
+            paper_stress(prediction_step=0.1, duration=10.0), "estimator", implicit_solve=True
+        ),
+        _solves_implicitly,
+        "c8f210d5bdaa98f2735fe4ff386f4d5edcc461a379ce39bb2b3e63b9b8116005",
+        "c5e861db420530d4d9e89eff5394f70b61e8a9b34061734912ab04317f0c5d0a",
+    ),
+    "leader_update": (
+        _long_traffic_seed_1(),
+        _updates_leader_horizons,
+        "8ce93d178ef49f44d9595ad59db6ee1a611aa66708447205f9ce7f9653315fed",
+        "9683f3d9edb6be58a56e2aefa81c48739d9df947a58155c93b9c7e04004f752e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_PATH_CASES))
+def test_engine_path_run_matches_pinned_digests(name, tmp_path, monkeypatch):
+    scenario, check, outputs, horizons = ENGINE_PATH_CASES[name]
+    watch, taken = check(monkeypatch)
+    digests = run_digests(scenario, tmp_path, watch)
+    assert taken()
     assert digests == (outputs, horizons)
