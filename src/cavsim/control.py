@@ -33,10 +33,11 @@ class ControlGains:
     alpha: int = 1
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise ValueError("k must be > 0")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        # Written as `not x > 0` so NaN fails.
+        if not self.k > 0:
+            raise ValueError(f"k must be > 0, got {self.k}")
+        if not self.gamma >= 0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         # The int alone: a float zero would make -alpha * k a negative zero.
         if type(self.alpha) is not int:
             raise ValueError(f"alpha must be the int 0 or 1, not {type(self.alpha).__name__}")
@@ -52,8 +53,8 @@ def consensus_accel(ego: VehicleState, target: TargetView, gains: ControlGains) 
     check covers every input at either alpha. At ``alpha = 0`` the result
     is a signed zero: ``0.0 * bracket`` keeps the bracket's sign.
     """
-    if target.time_gap <= 0:
-        raise ValueError("time_gap must be > 0")
+    if not target.time_gap > 0:
+        raise ValueError(f"time_gap must be > 0, got {target.time_gap}")
     r_i, v_i, r_j, v_j = ego.position, ego.speed, target.position, target.speed
     spacing = r_i - r_j + target.length + v_i * target.time_gap
     accel = -gains.alpha * gains.k * (spacing + gains.gamma * (v_i - v_j))

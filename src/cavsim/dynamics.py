@@ -42,7 +42,8 @@ def step_vehicle(
     [-decel_max, +accel_max]; position advances with the pre-update speed;
     the new speed is clamped into [0, speed_max].
     """
-    if dt <= 0.0:
+    # Written as `not x > 0` so NaN fails.
+    if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if not math.isfinite(accel_cmd):
         raise NumericFault(f"non-finite acceleration command: {accel_cmd}")

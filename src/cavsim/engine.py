@@ -22,6 +22,9 @@ Per-step phase order (identical every step, deterministic given the seed):
    channel hands each follower the same-step estimate exactly as the
    synchronous chain recursion requires. A vehicle in no crossing order has
    neither target nor follower, so it has nothing to receive or send.
+   The beacon is a ``types.Beacon``, an immutable named tuple (not a
+   dataclass) built once per sending vehicle and step; every channel model
+   takes the same ``V2XChannel.send``/``deliver_to`` path.
    On a prediction boundary, an order of at least ``CHAIN_BATCH_MIN``
    vehicles on a channel that can neither delay nor drop, in the explicit
    form, gets its followers' horizons from one vectorised pass computed
@@ -100,10 +103,11 @@ class EngineConfig:
     record_every: int = field(default=1, metadata={"key": "record_every"})
 
     def __post_init__(self) -> None:
-        if self.sim_step <= 0:
-            raise ValueError("sim_step must be > 0")
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
+        # Written as `not x > 0` so NaN fails.
+        if not self.sim_step > 0:
+            raise ValueError(f"sim_step must be > 0, got {self.sim_step}")
+        if not self.duration >= 0:
+            raise ValueError(f"duration must be >= 0, got {self.duration}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -150,8 +154,8 @@ class ControlConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.time_gap <= 0:
-            raise ValueError("time_gap must be > 0")
+        if not self.time_gap > 0:
+            raise ValueError(f"time_gap must be > 0, got {self.time_gap}")
 
 
 @dataclass(frozen=True)
@@ -477,12 +481,7 @@ class SimulationEngine:
                         veh.est.refreshed_send_time = now
                         veh.est.free_driving = False
                 if follower is not None and veh.est.own_estimate is not None:
-                    beacon = Beacon(
-                        sender=vid,
-                        send_time=now,
-                        state=veh.state,
-                        estimate=veh.est.own_estimate,
-                    )
+                    beacon = Beacon(vid, now, veh.state, veh.est.own_estimate)
                     self.channel.send(beacon, follower, now)
                     if batch and vid == order[0]:
                         chain = [self.vehicles[f] for f in order[1:]]
@@ -536,20 +535,26 @@ class SimulationEngine:
 
     def _record(self, result: RunResult, step_index: int, now: float) -> None:
         record_rows = step_index % self.scenario.engine.record_every == 0
+        vehicles = self.vehicles
+        metrics, trajectory = result.metrics, result.trajectory
         states: dict[str, dict[VehicleId, VehicleState]] = {iid: {} for iid in self.intersections}
-        for vid, veh in self.vehicles.items():
+        for vid, veh in vehicles.items():
             state = veh.state
             states[veh.intersection][vid] = state
+            speed = state.speed
             if veh.entry_time is not None and not veh.crossed:
-                veh.min_speed = min(veh.min_speed, state.speed)
-                if state.speed < FULL_STOP_SPEED:
+                # On a tie (0.0 against -0.0) the held value stays.
+                if speed < veh.min_speed:
+                    veh.min_speed = speed
+                if speed < FULL_STOP_SPEED:
                     veh.full_stopped = True
-            link_up = int(veh.est.link_up)
+            link_up = 1 if veh.est.link_up else 0
+            view_position = veh.view_position
             err = None
-            if veh.view_position is not None and veh.target is not None:
-                target_state = self.vehicles[veh.target].state
-                err = veh.view_position - target_state.position
-                result.metrics.append(
+            if view_position is not None and veh.target is not None:
+                target_state = vehicles[veh.target].state
+                err = view_position - target_state.position
+                metrics.append(
                     (
                         now,
                         vid,
@@ -557,19 +562,19 @@ class SimulationEngine:
                         err,
                         veh.view_speed - target_state.speed,
                         link_up,
-                        int(veh.est.horizon_exhausted),
+                        1 if veh.est.horizon_exhausted else 0,
                     )
                 )
             if record_rows:
-                result.trajectory.append(
+                trajectory.append(
                     (
                         now,
                         vid,
                         state.leg,
                         state.position,
-                        state.speed,
+                        speed,
                         state.acceleration,
-                        veh.view_position,
+                        view_position,
                         err,
                         link_up,
                     )

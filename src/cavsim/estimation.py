@@ -103,12 +103,16 @@ class EstimatorParams:
     limits: DynamicsLimits = _UNBOUNDED
 
     def __post_init__(self) -> None:
-        if self.prediction_step <= 0:
-            raise ValueError("prediction_step must be > 0")
-        if self.horizon_len < 1:
-            raise ValueError("horizon_len must be >= 1")
-        if self.a_max <= 0 or self.sigma <= 0 or self.v_target <= 0:
-            raise ValueError("a_max, sigma, v_target must be > 0")
+        # Written as `not x > 0` so NaN fails.
+        if not self.prediction_step > 0:
+            raise ValueError(f"prediction_step must be > 0, got {self.prediction_step}")
+        if not self.horizon_len >= 1:
+            raise ValueError(f"horizon_len must be >= 1, got {self.horizon_len}")
+        if not (self.a_max > 0 and self.sigma > 0 and self.v_target > 0):
+            raise ValueError(
+                f"a_max, sigma, v_target must be > 0, got {self.a_max}, {self.sigma}, "
+                f"{self.v_target}"
+            )
         if not isinstance(self.limits, DynamicsLimits):
             raise TypeError("limits must be a DynamicsLimits; the default is unbounded")
 
@@ -148,8 +152,8 @@ def idm_free_accel(v: float, params: EstimatorParams) -> float:
 
 def predict_leader_speed(params: EstimatorParams, v_now: float) -> list[float]:
     """Speed horizon of a vehicle with no target: ``_leader_horizon``'s speeds."""
-    if v_now < 0:
-        raise ValueError("v_now must be >= 0")
+    if not v_now >= 0:
+        raise ValueError(f"v_now must be >= 0, got {v_now}")
     return _leader_horizon(params, v_now, 0.0, params.horizon_len)[0]
 
 
@@ -209,8 +213,8 @@ def integrate_position(
     r[k] = r[k-1] + v[k-1] * step with r[0] = r_now and v[0] = v_now, so the
     last horizon speed never enters the returned positions.
     """
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    if not step > 0:
+        raise ValueError(f"step must be > 0, got {step}")
     positions: list[float] = []
     r = r_now
     prev_v = v_now
@@ -570,36 +574,26 @@ def target_motion_for_control(
     if beacon is None:
         raise ColdStart("no beacon ever received from target")
     state.horizon_exhausted = False
-    dt = params.prediction_step
-    est = beacon.estimate
+    target = beacon.state
     if state.link_up:
         tau = now - beacon.send_time
-        if tau < dt:
-            v_view = beacon.state.speed
+        if tau < params.prediction_step:
+            v_view = target.speed
         else:
             # Rate term sampled at the horizon interval containing the aged
             # time, so a transient kink right at the anchor is not amplified
             # by tau/step.
+            est = beacon.estimate
             aged = (now - est.anchor_time) / est.step
             j = min(max(math.floor(aged), 0), est.horizon_len - 1)
             delta = est.speed_at(j + 1) - est.speed_at(j)
-            v_view = max(0.0, beacon.state.speed + (tau / est.step) * delta)
-        r_view = beacon.state.position + v_view * tau
-        return TargetView(
-            position=r_view,
-            speed=v_view,
-            length=beacon.state.length,
-            time_gap=t_gap,
-        )
+            v_view = max(0.0, target.speed + (tau / est.step) * delta)
+        return TargetView(target.position + v_view * tau, v_view, target.length, t_gap)
+    est = beacon.estimate
     try:
         v_view, r_view = lerp_trajectory(est, now)
     except HorizonExhausted:
         state.horizon_exhausted = True
         v_view = est.speed_at(est.horizon_len)
         r_view = est.position_at(est.horizon_len) + v_view * (now - est.end_time)
-    return TargetView(
-        position=r_view,
-        speed=v_view,
-        length=beacon.state.length,
-        time_gap=t_gap,
-    )
+    return TargetView(r_view, v_view, target.length, t_gap)

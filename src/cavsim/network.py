@@ -9,9 +9,8 @@ draws never depend on send ordering.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +46,10 @@ class ChannelModel:
     links touching one of those vehicles, modeling an obstructed or
     degraded radio on specific vehicles while the rest of the fleet
     communicates cleanly.
+
+    ``draws_nothing`` (not a field) is true for a model with no random
+    loss, no delay spread and no burst state: a send's fate is then fixed
+    by the clock, and ``transmit`` takes no draw.
     """
 
     delay_mean: float = field(default=0.040, metadata={"key": "delay_mean_s"})
@@ -62,23 +65,28 @@ class ChannelModel:
     )
 
     def __post_init__(self) -> None:
-        if self.delay_mean < 0 or self.delay_std < 0:
-            raise ValueError("delay parameters must be >= 0")
+        # Written as `not x >= 0` so NaN fails: a NaN delay would otherwise
+        # deliver as a zero delay.
+        if not (self.delay_mean >= 0 and self.delay_std >= 0):
+            raise ValueError(
+                f"delay parameters must be >= 0, got {self.delay_mean} and {self.delay_std}"
+            )
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ValueError("loss_prob must be in [0, 1]")
         ordered = sorted(self.nlos_windows)
         for start, end in ordered:
-            if start >= end:
+            if not start < end:
                 raise ValueError(f"NLOS window [{start}, {end}) is empty or inverted")
         for (_, prev_end), (next_start, _) in zip(ordered, ordered[1:]):
-            if next_start < prev_end:
+            if not next_start >= prev_end:
                 raise ValueError("NLOS windows must not overlap")
-
-    @cached_property
-    def draws_nothing(self) -> bool:
-        """No random loss, no delay spread and no burst state: a send's fate
-        is fixed by the clock, so ``transmit`` takes no draw."""
-        return self.loss_prob == 0.0 and self.delay_std == 0.0 and self.burst is None
+        # Set once here: a cached property's write to ``__dict__`` would turn
+        # every later field read on the model into a dict lookup.
+        object.__setattr__(
+            self,
+            "draws_nothing",
+            self.loss_prob == 0.0 and self.delay_std == 0.0 and self.burst is None,
+        )
 
     def in_nlos(self, t: SimTime) -> bool:
         for start, end in self.nlos_windows:
@@ -136,15 +144,22 @@ def transmit(
     A model that ``draws_nothing`` skips both draws and needs no stream: it
     delivers at ``now + delay_mean``, the time the draws would give, since
     ``random() < 0.0`` never holds and ``delay_mean + 0.0 * z`` is
-    ``delay_mean``. A model with loss but no delay spread still draws: its
-    loss draws move the stream.
+    ``delay_mean`` (non-negative, as ``ChannelModel`` checks). A model with
+    loss but no delay spread still draws: its loss draws move the stream.
+
+    The link is looked up only where its answer matters: inside an NLOS
+    window, and before the draws. A draw-free model without NLOS windows,
+    such as the ideal channel, decides a send from the clock alone.
     """
-    impaired = channel.link_impaired(beacon.sender, receiver)
-    if impaired and channel.in_nlos(now):
+    if (
+        channel.nlos_windows
+        and channel.in_nlos(now)
+        and channel.link_impaired(beacon.sender, receiver)
+    ):
         return DROPPED
     if channel.draws_nothing:
-        return now + max(0.0, channel.delay_mean)
-    if impaired:
+        return now + channel.delay_mean
+    if channel.link_impaired(beacon.sender, receiver):
         if channel.burst is not None:
             if stream.in_bad_state:
                 if stream.rng.random() < channel.burst.p_bad_to_good:
@@ -164,7 +179,8 @@ class V2XChannel:
     """Engine-facing channel: per-link streams and one inbox per receiver.
 
     An inbox is a heap of ``(delivery time, sender, send time, sequence
-    number, beacon)`` entries. A receiver consumes at most one beacon per
+    number, beacon)`` entries, kept with the send time of the beacon last
+    consumed from each sender. A receiver consumes at most one beacon per
     sender per poll (the due one with the latest send time), and beacons no
     newer than one already consumed on their link are discarded so
     estimator state stays monotone in send time.
@@ -173,38 +189,45 @@ class V2XChannel:
     def __init__(self, model: ChannelModel) -> None:
         self.model = model
         self._streams: dict[tuple[VehicleId, VehicleId], LinkStream] = {}
-        self._last_consumed: dict[tuple[VehicleId, VehicleId], SimTime] = {}
-        self._inboxes: dict[VehicleId, list[tuple]] = {}
+        # receiver -> (heap, {sender: send time last consumed})
+        self._inboxes: dict[VehicleId, tuple[list[tuple], dict[VehicleId, SimTime]]] = {}
         self._sent = 0
 
     def stream_for(self, sender: VehicleId, receiver: VehicleId) -> LinkStream:
         key = (sender, receiver)
-        if key not in self._streams:
-            self._streams[key] = link_stream(self.model, sender, receiver)
-        return self._streams[key]
+        stream = self._streams.get(key)
+        if stream is None:
+            stream = self._streams[key] = link_stream(self.model, sender, receiver)
+        return stream
 
     def send(self, beacon: Beacon, receiver: VehicleId, now: SimTime) -> bool:
         """Transmit to one receiver; returns False when dropped.
 
         A model that draws nothing gets no per-link stream.
         """
-        stream = None if self.model.draws_nothing else self.stream_for(beacon.sender, receiver)
-        result = transmit(self.model, beacon, now, stream, receiver)
-        if isinstance(result, Dropped):
+        model = self.model
+        stream = None if model.draws_nothing else self.stream_for(beacon.sender, receiver)
+        result = transmit(model, beacon, now, stream, receiver)
+        if result is DROPPED:
             return False
         self._sent += 1
-        entry = (result, beacon.sender, beacon.send_time, self._sent, beacon)
-        heapq.heappush(self._inboxes.setdefault(receiver, []), entry)
+        inbox = self._inboxes.get(receiver)
+        if inbox is None:
+            inbox = self._inboxes[receiver] = ([], {})
+        heappush(inbox[0], (result, beacon.sender, beacon.send_time, self._sent, beacon))
         return True
 
     def deliver_to(self, receiver: VehicleId, now: SimTime) -> dict[VehicleId, Beacon]:
         """Pop the beacons due for one receiver, freshest per sender."""
-        inbox = self._inboxes.get(receiver)
         out: dict[VehicleId, Beacon] = {}
-        while inbox and inbox[0][0] <= now:
-            _, sender, send_time, _, beacon = heapq.heappop(inbox)
-            last = self._last_consumed.get((sender, receiver))
+        inbox = self._inboxes.get(receiver)
+        if inbox is None:
+            return out
+        heap, consumed = inbox
+        while heap and heap[0][0] <= now:
+            _, sender, send_time, _, beacon = heappop(heap)
+            last = consumed.get(sender)
             if last is None or send_time > last:
-                self._last_consumed[(sender, receiver)] = send_time
+                consumed[sender] = send_time
                 out[sender] = beacon
         return out

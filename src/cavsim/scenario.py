@@ -11,7 +11,6 @@ it as one list of vehicle ids per intersection (``SimulationEngine.orders``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -25,8 +24,9 @@ class LegSpec:
     approach_length: float = field(metadata={"key": "approach_length_m", "default": 200.0})
 
     def __post_init__(self) -> None:
-        if self.approach_length <= 0:
-            raise ValueError("approach_length must be > 0")
+        # Written as `not x > 0` so NaN fails.
+        if not self.approach_length > 0:
+            raise ValueError(f"approach_length must be > 0, got {self.approach_length}")
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class IntersectionSpec:
     longest approach, so every spawn point maps to a non-negative
     coordinate). ``conflict_zone_length`` is centred on the crossing point.
     The spec is frozen, so ``crossing_coord`` is computed once per spec, on
-    first use; it is not a field, so ``dataclasses.asdict`` and the
+    construction; it is not a field, so ``dataclasses.asdict`` and the
     normalised scenario leave it out.
     """
 
@@ -49,18 +49,19 @@ class IntersectionSpec:
     def __post_init__(self) -> None:
         if not self.legs:
             raise ValueError("intersection needs at least one leg")
-        if self.control_zone_radius <= 0:
-            raise ValueError("control_zone_radius must be > 0")
+        if not self.control_zone_radius > 0:
+            raise ValueError(f"control_zone_radius must be > 0, got {self.control_zone_radius}")
         for leg in self.legs:
             if leg.approach_length < self.control_zone_radius:
                 raise ValueError(
                     f"leg {leg.id}: approach_length {leg.approach_length} shorter "
                     f"than control_zone_radius {self.control_zone_radius}"
                 )
-
-    @cached_property
-    def crossing_coord(self) -> float:
-        return max(leg.approach_length for leg in self.legs)
+        # Set once here: a cached property's write to ``__dict__`` would turn
+        # every later field read on the spec into a dict lookup.
+        object.__setattr__(
+            self, "crossing_coord", max(leg.approach_length for leg in self.legs)
+        )
 
     def leg(self, leg_id: str) -> LegSpec:
         for leg in self.legs:
@@ -91,12 +92,13 @@ class SpawnEvent:
     start_offset: float = field(default=0.0, metadata={"key": "start_offset_m"})
 
     def __post_init__(self) -> None:
-        if self.speed < 0:
-            raise ValueError("spawn speed must be >= 0")
-        if self.length <= 0:
-            raise ValueError("vehicle length must be > 0")
-        if self.start_offset < 0:
-            raise ValueError("start_offset must be >= 0")
+        # Written as `not x >= 0` so NaN fails.
+        if not self.speed >= 0:
+            raise ValueError(f"spawn speed must be >= 0, got {self.speed}")
+        if not self.length > 0:
+            raise ValueError(f"vehicle length must be > 0, got {self.length}")
+        if not self.start_offset >= 0:
+            raise ValueError(f"start_offset must be >= 0, got {self.start_offset}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,8 @@ class RandomSpawnSpec:
     max_vehicles: int | None = field(default=None, metadata={"key": "max_vehicles"})
 
     def __post_init__(self) -> None:
-        if self.rate_per_leg <= 0:
-            raise ValueError("rate_per_leg must be > 0")
+        if not self.rate_per_leg > 0:
+            raise ValueError(f"rate_per_leg must be > 0, got {self.rate_per_leg}")
         if not 0 <= self.speed_min <= self.speed_max:
             raise ValueError("need 0 <= speed_min <= speed_max")
         if self.max_vehicles is not None and self.max_vehicles < 0:
@@ -187,31 +189,37 @@ def safety_check(
     A vehicle occupies [position - length, position]; the conflict zone is
     the interval of ``conflict_zone_length`` centred on the crossing point.
     """
+    half = spec.conflict_zone_length / 2.0
+    zone_lo = spec.crossing_coord - half
+    zone_hi = spec.crossing_coord + half
+    # One pass sorts every vehicle into its leg and picks the zone occupants.
+    by_leg: dict[str, list[tuple[float, VehicleId, float]]] = {}
+    occupants: list[tuple[VehicleId, VehicleState]] = []
+    for vid, st in states.items():
+        position, length = st.position, st.length
+        on_leg = by_leg.get(st.leg)
+        if on_leg is None:
+            by_leg[st.leg] = [(position, vid, length)]
+        else:
+            on_leg.append((position, vid, length))
+        if position - length <= zone_hi and position >= zone_lo:
+            occupants.append((vid, st))
     violations: list[SafetyViolation] = []
-    ordered = sorted(states.items())
-    by_leg: dict[str, list[tuple[float, VehicleId]]] = {}
-    for vid, st in ordered:
-        by_leg.setdefault(st.leg, []).append((st.position, vid))
     # Legs in id order, so the order of the list does not depend on which
-    # vehicles are still simulated.
+    # vehicles are still simulated. (position, id) is unique, so the sort
+    # never compares lengths.
     for _, leg_vehicles in sorted(by_leg.items()):
         leg_vehicles.sort()
-        for (pos_rear, vid_rear), (pos_front, vid_front) in zip(
+        for (pos_rear, vid_rear, _), (pos_front, vid_front, len_front) in zip(
             leg_vehicles, leg_vehicles[1:]
         ):
-            gap = pos_front - states[vid_front].length - pos_rear
+            gap = pos_front - len_front - pos_rear
             if gap < 0:
                 violations.append(
                     SafetyViolation("rear_end", vid_rear, vid_front, gap)
                 )
-    half = spec.conflict_zone_length / 2.0
-    zone_lo = spec.crossing_coord - half
-    zone_hi = spec.crossing_coord + half
-    occupants = [
-        (vid, st)
-        for vid, st in ordered
-        if st.position - st.length <= zone_hi and st.position >= zone_lo
-    ]
+    # Pairs in id order; ids are unique, so the sort never compares states.
+    occupants.sort()
     for i, (vid_a, st_a) in enumerate(occupants):
         for vid_b, st_b in occupants[i + 1 :]:
             if st_a.leg != st_b.leg:

@@ -9,6 +9,7 @@ is its front bumper, so the bumper-to-bumper gap to a leading vehicle j is
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,14 +19,26 @@ SimTime = float
 VehicleId = int
 
 _INF = math.inf
+_new_tuple = tuple.__new__
+_setattr = object.__setattr__
 
 # Relative tolerance used to snap horizon queries onto exact sample times.
 _GRID_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VehicleState:
-    """Ground-truth longitudinal state of one vehicle on the virtual lane."""
+    """Ground-truth longitudinal state of one vehicle on the virtual lane.
+
+    A frozen dataclass whose constructor is written by hand, since the plant
+    builds one per vehicle and step: it checks the arguments themselves and
+    stores them with a pre-bound ``object.__setattr__``, without the
+    generated constructor's per-field attribute lookup and its
+    ``__post_init__`` call. It does not write ``__dict__`` directly, which
+    would turn every later field read into a dict lookup. Construction,
+    ``repr``, ``==``, ``hash``, ``dataclasses.replace``/``asdict``, ``vars``
+    and pickling behave as the generated ones do.
+    """
 
     position: float
     speed: float
@@ -33,18 +46,25 @@ class VehicleState:
     length: float
     leg: str
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, position: float, speed: float, acceleration: float, length: float, leg: str
+    ) -> None:
         # One chained comparison per field; NaN fails every comparison.
-        if not 0.0 <= self.speed < _INF:
-            if self.speed < 0.0:
-                raise ValueError(f"speed must be >= 0, got {self.speed}")
-            raise NumericFault(f"non-finite speed {self.speed}")
-        if not -_INF < self.position < _INF:
-            raise NumericFault(f"non-finite position {self.position}")
-        if not -_INF < self.acceleration < _INF:
-            raise NumericFault(f"non-finite acceleration {self.acceleration}")
-        if not self.length > 0.0:
-            raise ValueError(f"length must be > 0, got {self.length}")
+        if not 0.0 <= speed < _INF:
+            if speed < 0.0:
+                raise ValueError(f"speed must be >= 0, got {speed}")
+            raise NumericFault(f"non-finite speed {speed}")
+        if not -_INF < position < _INF:
+            raise NumericFault(f"non-finite position {position}")
+        if not -_INF < acceleration < _INF:
+            raise NumericFault(f"non-finite acceleration {acceleration}")
+        if not length > 0.0:
+            raise ValueError(f"length must be > 0, got {length}")
+        _setattr(self, "position", position)
+        _setattr(self, "speed", speed)
+        _setattr(self, "acceleration", acceleration)
+        _setattr(self, "length", length)
+        _setattr(self, "leg", leg)
 
 
 @dataclass(frozen=True)
@@ -75,8 +95,9 @@ class TrajectoryEstimate:
     positions: Sequence[float]
 
     def __post_init__(self) -> None:
-        if self.step <= 0.0:
-            raise ValueError("step must be > 0")
+        # Written as `not x > 0` so NaN fails.
+        if not self.step > 0.0:
+            raise ValueError(f"step must be > 0, got {self.step}")
         if not -_INF < self.anchor_speed < _INF:
             raise NumericFault(f"non-finite anchor speed {self.anchor_speed}")
         if not -_INF < self.anchor_position < _INF:
@@ -103,22 +124,37 @@ class TrajectoryEstimate:
         return self.anchor_position if k == 0 else float(self.positions[k - 1])
 
 
-@dataclass(frozen=True)
-class Beacon:
+class Beacon(namedtuple("Beacon", ("sender", "send_time", "state", "estimate"))):
     """One broadcast message: sender's ground truth plus its estimate.
 
     ``estimate.anchor_time <= send_time``: the estimate refreshes on
-    prediction boundaries, which may be coarser than the beacon rate.
+    prediction boundaries, which may be coarser than the beacon rate. A NaN
+    send time fails the check too.
+
+    An immutable named tuple, with the check in ``__new__``: every vehicle
+    with a follower builds one per step. Fields are read by name.
     """
 
-    sender: VehicleId
-    send_time: SimTime
-    state: VehicleState
-    estimate: TrajectoryEstimate
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.estimate.anchor_time > self.send_time + 1e-12:
-            raise ValueError("estimate anchored after beacon send time")
+    def __new__(
+        cls,
+        sender: VehicleId,
+        send_time: SimTime,
+        state: VehicleState,
+        estimate: TrajectoryEstimate,
+    ) -> "Beacon":
+        if not estimate.anchor_time <= send_time + 1e-12:
+            raise ValueError(
+                f"estimate anchored at {estimate.anchor_time}, after beacon send time {send_time}"
+            )
+        return _new_tuple(cls, (sender, send_time, state, estimate))
+
+    @classmethod
+    def _make(cls, iterable) -> "Beacon":
+        # The named tuple's own ``_make`` (and so ``_replace``) would skip
+        # the check.
+        return cls(*iterable)
 
 
 @dataclass

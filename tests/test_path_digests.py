@@ -2,10 +2,13 @@
 
 ``test_output_digests.py`` pins the shipped scenarios, whose crossing
 orders are too short for the batched chain kernel and which take few of the
-engine's other paths. Here each run is pinned twice:
+engine's other paths. Here each run is pinned three times:
 
 - the sha256 of ``trajectory.csv`` followed by ``metrics.csv``;
-- the sha256 of every vehicle's own horizon at every step.
+- the sha256 of every vehicle's own horizon at every step;
+- the sha256 of ``summary.json`` without ``mean_step_wallclock_ms``, its
+  one wall-clock field: the run-level aggregates and the per-vehicle
+  statistics (entry and retirement times, link-step counts).
 
 Both are needed. On an ideal channel every link is up, so a follower's
 control view is its target's beacon state aged by a zero delay, and no
@@ -48,7 +51,7 @@ import pytest
 
 import cavsim.engine as engine_module
 import cavsim.network as network_module
-from cavsim.cli import write_metrics_csv, write_trajectory_csv
+from cavsim.cli import write_metrics_csv, write_summary_json, write_trajectory_csv
 from cavsim.config import parse_scenario
 from cavsim.engine import SimulationEngine, run
 from cavsim.network import DROPPED, BurstLossModel, ChannelModel
@@ -76,28 +79,31 @@ def _chain(sim_step, head_speed=None):
     )
 
 
-# name: (scenario, trajectory + metrics digest, horizon digest)
+# name: (scenario, trajectory + metrics digest, horizon digest, summary digest)
 CASES = {
     "chain_0.02": (
         _chain(0.02),
         "002be62c07b8da9ce10321448905446fabf3bc9f43111be93e0769898e520c9d",
         "62f808116340ddce0924375972fa0cfe78eea72e83a1c4892627cf1c373c7f8d",
+        "c560e78e21b384ff128b76ba875c2b4ce4054b4cc93c4814794a51c6afd92158",
     ),
     "chain_0.1": (
         _chain(0.1),
         "1436f3b91662c3233e375e75aee7b99290180bea8d68d5bbd5563a41ed765d37",
         "9ca9480e5dea250a53dd09a10e06302221d8e7145b67ba7b01c0fd1156fda727",
+        "58a73f1d42706b0a853b6252673199afe86ea88155f305e00dbff4c9f42fe18b",
     ),
     "braking_chain_0.1": (
         _chain(0.1, head_speed=0.0),
         "8f8edfc319c7097bfbae1d4c577399e31f55f8d8ac9e65f3ad0c8f2c625b3b78",
         "37cb7fedf8e9c255e305aa27e5ce41850a844b36f65ca41ae7b6758a65ecebf2",
+        "8f7b73d8daf4700e895f7b512503a2f15af15915d9f69d3027c9f19907daf752",
     ),
 }
 
 
 def run_digests(scenario, tmp_path, watch=None):
-    """The run's CSV digest and horizon digest.
+    """The run's CSV digest, horizon digest and summary digest.
 
     ``watch``, if given, is called as an ``on_step`` probe too. A vehicle
     that has no horizon yet adds nothing to the horizon digest.
@@ -122,12 +128,17 @@ def run_digests(scenario, tmp_path, watch=None):
     outputs = hashlib.sha256()
     for csv_name in ("trajectory.csv", "metrics.csv"):
         outputs.update((tmp_path / csv_name).read_bytes())
-    return outputs.hexdigest(), horizons.hexdigest()
+    summary = {
+        key: value for key, value in result.summary.items() if key != "mean_step_wallclock_ms"
+    }
+    write_summary_json(tmp_path / "summary.json", dataclasses.replace(result, summary=summary))
+    summary_digest = hashlib.sha256((tmp_path / "summary.json").read_bytes())
+    return outputs.hexdigest(), horizons.hexdigest(), summary_digest.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_chain_kernel_run_matches_pinned_digests(name, tmp_path, monkeypatch):
-    scenario, outputs, horizons = CASES[name]
+    scenario, outputs, horizons, summary = CASES[name]
     kernel = engine_module.chain_follower_horizons
     calls = []
 
@@ -139,7 +150,7 @@ def test_chain_kernel_run_matches_pinned_digests(name, tmp_path, monkeypatch):
     digests = run_digests(scenario, tmp_path)
     # One kernel call per prediction boundary: the run takes the path.
     assert len(calls) == 5
-    assert digests == (outputs, horizons)
+    assert digests == (outputs, horizons, summary)
 
 
 def _replace(scenario, section, **fields):
@@ -297,37 +308,43 @@ def _updates_leader_horizons(monkeypatch):
     return None, lambda: counts["updates"] > 0
 
 
-# name: (scenario, path check, trajectory + metrics digest, horizon digest)
+# name: (scenario, path check, trajectory + metrics digest, horizon digest,
+# summary digest)
 ENGINE_PATH_CASES = {
     "deferred_spawns": (
         _deferred_spawns(),
         _defers_spawns_on_several_legs,
         "d55c8576a8e79c9ad978b9d9369a465dd0bd14bf02825fb08394493e39428d8b",
         "0107619e1325b1d3a213c64bb787ae8c5378223d64e7fc23ee3d4ab9cffb6040",
+        "133d1c685a70beb35a879894d54ea4f7ed231a6c0fefdad68f198f3e5a377073",
     ),
     "two_intersections": (
         _two_intersections(),
         _crosses_both_intersections,
         "1edbbed07d5e6b294686f7c063f2d430f9a5a6b11bfaacd738c3aae5f4d6e38b",
         "1ad0fa8bb2340c0e141a37c380ae3a686dcb89029a990b53bfc00496b3764864",
+        "7cc6f43ccb415884eabe3c2b18378a9c33109c5654d1b07d44271553b7a6cc9b",
     ),
     "nlos_impaired": (
         paper_stress(prediction_step=0.1, duration=10.0),
         _drops_in_nlos_on_impaired_links_only,
         "f02068c99f89f4f18f1689d8a8c01c2f4fc5e65facf9375fabd8fbb585cc380f",
         "2a35189abac0138aee6c3d496a9fb293002a76eb6652773420de8965eca23faa",
+        "ce3065579443cf7f45a3532a22df93e005141f0c59b9fbce9d227d68fe2e9c6e",
     ),
     "burst_loss": (
         _burst_loss(),
         _enters_the_bad_state,
         "4be3e7e9403f5179c29276b65eff74d050cf5efb56a8506772de34fdf1ef3a30",
         "9d9929cbcecb65dd6407c327732ba77f35e11d99119465a402da76c662997dfb",
+        "f4296f9b6e5aad14384d6cc62f3002aa29c7f0af9ec8d3c097f3ab949e29c752",
     ),
     "record_every_3": (
         _replace(_short_twenty(), "engine", record_every=3),
         _records_every_third_step,
         "372e6d05ae2b61d13800df1c1566093e0580a88f3cabb2c6f5d72a66bf13efdd",
         "a807a5f4ffbe61de17f520953af51f4524574c911626b274acf6a5333085389b",
+        "419929ac1467d3f3ff62cddd42a9911711f45bc81e7052868f8c04bdaf16988c",
     ),
     "implicit_solve": (
         _replace(
@@ -336,20 +353,22 @@ ENGINE_PATH_CASES = {
         _solves_implicitly,
         "c8f210d5bdaa98f2735fe4ff386f4d5edcc461a379ce39bb2b3e63b9b8116005",
         "c5e861db420530d4d9e89eff5394f70b61e8a9b34061734912ab04317f0c5d0a",
+        "df4748c1531013041f3729af0aa61aa784922bfc761285041c1230ee7aa37b23",
     ),
     "leader_update": (
         _long_traffic_seed_1(),
         _updates_leader_horizons,
         "8ce93d178ef49f44d9595ad59db6ee1a611aa66708447205f9ce7f9653315fed",
         "9683f3d9edb6be58a56e2aefa81c48739d9df947a58155c93b9c7e04004f752e",
+        "790203d180de3a228cf2157b7ffc1a0eaacd28baa47730843ecde82411cc7493",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ENGINE_PATH_CASES))
 def test_engine_path_run_matches_pinned_digests(name, tmp_path, monkeypatch):
-    scenario, check, outputs, horizons = ENGINE_PATH_CASES[name]
+    scenario, check, outputs, horizons, summary = ENGINE_PATH_CASES[name]
     watch, taken = check(monkeypatch)
     digests = run_digests(scenario, tmp_path, watch)
     assert taken()
-    assert digests == (outputs, horizons)
+    assert digests == (outputs, horizons, summary)

@@ -181,13 +181,44 @@ class TestInvariants:
         Beacon(sender=0, send_time=10.5, state=state, estimate=est)
 
 
+class TestBeaconTuple:
+    """Beacon is an immutable named tuple; every way to build one checks it."""
+
+    def beacon(self, send_time=10.0):
+        est = make_estimate([5.0], anchor_time=10.0)
+        state = VehicleState(position=0.0, speed=5.0, acceleration=0.0, length=5.0, leg="a")
+        return Beacon(0, send_time, state, est)
+
+    def test_fields_by_name_and_position(self):
+        b = self.beacon()
+        assert Beacon._fields == ("sender", "send_time", "state", "estimate")
+        assert (b.sender, b.send_time) == (0, 10.0) == tuple(b)[:2]
+        assert b == Beacon(sender=0, send_time=10.0, state=b.state, estimate=b.estimate)
+
+    def test_immutable(self):
+        b = self.beacon()
+        with pytest.raises(AttributeError):
+            b.send_time = 11.0
+        with pytest.raises(AttributeError):
+            b.note = "x"
+
+    def test_replace_make_and_pickle_keep_the_check(self):
+        b = self.beacon()
+        assert b._replace(send_time=10.5).send_time == 10.5
+        with pytest.raises(ValueError):
+            b._replace(send_time=9.0)
+        with pytest.raises(ValueError):
+            Beacon._make((0, 9.0, b.state, b.estimate))
+        assert pickle.loads(pickle.dumps(b)) == b
+
+
 class TestVehicleStateDataclass:
     """VehicleState keeps every frozen-dataclass behaviour."""
 
     FIELDS = dict(position=1.5, speed=2.0, acceleration=-0.5, length=4.5, leg="b")
 
     def test_constructor_takes_the_declared_fields_in_order(self):
-        # The generated constructor takes the declared fields in order.
+        # The constructor takes the declared fields in order.
         parameters = list(inspect.signature(VehicleState).parameters)
         assert parameters == [f.name for f in dataclasses.fields(VehicleState)]
 
