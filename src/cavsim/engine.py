@@ -431,8 +431,7 @@ class SimulationEngine:
         """
         for vid, veh in list(self.vehicles.items()):
             if veh.crossed:
-                spec = self.intersections[veh.intersection]
-                zone_hi = spec.crossing_coord + spec.conflict_zone_length / 2.0
+                zone_hi = self.intersections[veh.intersection].zone_hi
                 if veh.state.position - veh.state.length > zone_hi:
                     veh.retired_at = now
                     self.retired[vid] = self.vehicles.pop(vid)
@@ -498,14 +497,16 @@ class SimulationEngine:
         st = veh.est
         previous = st.own_estimate if st.free_driving else None
         st.free_driving = False
-        if st.has_fresh_beacon():
+        beacon = st.last_target_beacon
+        if beacon is not None and (
+            st.refreshed_send_time is None or beacon.send_time > st.refreshed_send_time
+        ):
             assert veh.gains is not None
-            beacon = st.last_target_beacon
             st.own_estimate = follower_estimate(
                 now, veh.state, beacon, veh.gains, self.t_gap, self.params
             )
             st.refreshed_send_time = beacon.send_time
-        elif st.last_target_beacon is not None and st.own_estimate is not None:
+        elif beacon is not None and st.own_estimate is not None:
             st.own_estimate = shift_held_estimate(now, veh.state, st.own_estimate, self.params)
         else:
             st.own_estimate = leader_estimate(now, veh.state, self.params, previous)

@@ -122,10 +122,12 @@ class EstimatorState:
     """Per-vehicle estimator memory, owned and mutated by the engine.
 
     ``refreshed_send_time`` is the send time of the beacon consumed by the
-    last own-estimate refresh; a refresh boundary with no newer beacon in
-    the inbox holds the previous estimate instead of recomputing from stale
-    data. ``free_driving`` says that ``own_estimate`` is a
-    ``leader_estimate`` horizon, which the next leader refresh may advance.
+    last own-estimate refresh, or None if none has since the last retarget.
+    ``last_target_beacon`` is fresh when that is None or older than its send
+    time. A refresh recomputes from a fresh beacon only; with a stale one it
+    holds the previous estimate instead of recomputing from stale data.
+    ``free_driving`` says that ``own_estimate`` is a ``leader_estimate``
+    horizon, which the next leader refresh may advance.
     """
 
     own_estimate: TrajectoryEstimate | None = None
@@ -134,15 +136,6 @@ class EstimatorState:
     horizon_exhausted: bool = False
     refreshed_send_time: SimTime | None = None
     free_driving: bool = False
-
-    def has_fresh_beacon(self) -> bool:
-        """A beacon newer than the one used by the last refresh is waiting."""
-        if self.last_target_beacon is None:
-            return False
-        return (
-            self.refreshed_send_time is None
-            or self.last_target_beacon.send_time > self.refreshed_send_time
-        )
 
 
 def idm_free_accel(v: float, params: EstimatorParams) -> float:
@@ -223,23 +216,6 @@ def integrate_position(
         positions.append(r)
         prev_v = v
     return positions
-
-
-def build_estimate(
-    anchor_time: SimTime,
-    state: VehicleState,
-    speeds: Sequence[float],
-    step: float,
-) -> TrajectoryEstimate:
-    """Assemble a TrajectoryEstimate anchored at a vehicle's own state."""
-    return TrajectoryEstimate(
-        anchor_time=anchor_time,
-        step=step,
-        anchor_speed=state.speed,
-        anchor_position=state.position,
-        speeds=tuple(speeds),
-        positions=tuple(integrate_position(state.position, state.speed, speeds, step)),
-    )
 
 
 def follower_estimate(
@@ -552,7 +528,15 @@ def shift_held_estimate(
             now,
         )
         return leader_estimate(now, own, params)
-    return build_estimate(now, own, remaining, previous.step)
+    step = previous.step
+    return TrajectoryEstimate(
+        anchor_time=now,
+        step=step,
+        anchor_speed=own.speed,
+        anchor_position=own.position,
+        speeds=tuple(remaining),
+        positions=tuple(integrate_position(own.position, own.speed, remaining, step)),
+    )
 
 
 def target_motion_for_control(

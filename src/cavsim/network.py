@@ -122,9 +122,20 @@ class LinkStream:
     in_bad_state: bool = False
 
 
+def seeded_stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    """The run's independent random stream named by ``key``.
+
+    Every seeded draw in a run comes from one of these, and each consumer
+    owns a key namespace, told apart by the key's first element:
+    ``(1, sender, receiver)`` is a directed link's stream, and ``(2,)`` the
+    random spawns' stream. A new consumer takes a new first element.
+    """
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    return np.random.Generator(np.random.PCG64(seq))
+
+
 def link_stream(channel: ChannelModel, sender: VehicleId, receiver: VehicleId) -> LinkStream:
-    seq = np.random.SeedSequence(entropy=channel.seed, spawn_key=(1, sender, receiver))
-    return LinkStream(rng=np.random.Generator(np.random.PCG64(seq)))
+    return LinkStream(rng=seeded_stream(channel.seed, (1, sender, receiver)))
 
 
 def transmit(
@@ -193,20 +204,19 @@ class V2XChannel:
         self._inboxes: dict[VehicleId, tuple[list[tuple], dict[VehicleId, SimTime]]] = {}
         self._sent = 0
 
-    def stream_for(self, sender: VehicleId, receiver: VehicleId) -> LinkStream:
-        key = (sender, receiver)
-        stream = self._streams.get(key)
-        if stream is None:
-            stream = self._streams[key] = link_stream(self.model, sender, receiver)
-        return stream
-
     def send(self, beacon: Beacon, receiver: VehicleId, now: SimTime) -> bool:
         """Transmit to one receiver; returns False when dropped.
 
-        A model that draws nothing gets no per-link stream.
+        A link's stream is made on its first send. A model that draws
+        nothing gets no per-link stream.
         """
         model = self.model
-        stream = None if model.draws_nothing else self.stream_for(beacon.sender, receiver)
+        stream = None
+        if not model.draws_nothing:
+            key = (beacon.sender, receiver)
+            stream = self._streams.get(key)
+            if stream is None:
+                stream = self._streams[key] = link_stream(model, *key)
         result = transmit(model, beacon, now, stream, receiver)
         if result is DROPPED:
             return False

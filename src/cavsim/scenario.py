@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
+from .network import seeded_stream
 from .types import VehicleId, VehicleState
 
 
@@ -35,10 +34,11 @@ class IntersectionSpec:
 
     The crossing point sits at virtual coordinate ``crossing_coord`` (the
     longest approach, so every spawn point maps to a non-negative
-    coordinate). ``conflict_zone_length`` is centred on the crossing point.
-    The spec is frozen, so ``crossing_coord`` is computed once per spec, on
-    construction; it is not a field, so ``dataclasses.asdict`` and the
-    normalised scenario leave it out.
+    coordinate). The conflict zone is the interval ``[zone_lo, zone_hi]`` of
+    ``conflict_zone_length`` centred on the crossing point. The spec is
+    frozen, so these three are computed once per spec, on construction;
+    they are not fields, so ``dataclasses.asdict`` and the normalised
+    scenario leave them out.
     """
 
     id: str = field(metadata={"key": "id"})
@@ -59,9 +59,11 @@ class IntersectionSpec:
                 )
         # Set once here: a cached property's write to ``__dict__`` would turn
         # every later field read on the spec into a dict lookup.
-        object.__setattr__(
-            self, "crossing_coord", max(leg.approach_length for leg in self.legs)
-        )
+        crossing = max(leg.approach_length for leg in self.legs)
+        half = self.conflict_zone_length / 2.0
+        object.__setattr__(self, "crossing_coord", crossing)
+        object.__setattr__(self, "zone_lo", crossing - half)
+        object.__setattr__(self, "zone_hi", crossing + half)
 
     def leg(self, leg_id: str) -> LegSpec:
         for leg in self.legs:
@@ -137,8 +139,7 @@ def expand_random_spawns(
     events = list(plan.events)
     spec = plan.random
     if spec is not None:
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(2,))
-        rng = np.random.Generator(np.random.PCG64(seq))
+        rng = seeded_stream(seed, (2,))
         generated: list[SpawnEvent] = []
         for intersection in intersections:
             for leg in intersection.legs:
@@ -186,12 +187,11 @@ def safety_check(
 ) -> list[SafetyViolation]:
     """Flag same-leg rear-end overlaps and conflict-zone co-occupancy.
 
-    A vehicle occupies [position - length, position]; the conflict zone is
-    the interval of ``conflict_zone_length`` centred on the crossing point.
+    A vehicle occupies [position - length, position] and is in the conflict
+    zone when that overlaps ``[spec.zone_lo, spec.zone_hi]``.
     """
-    half = spec.conflict_zone_length / 2.0
-    zone_lo = spec.crossing_coord - half
-    zone_hi = spec.crossing_coord + half
+    zone_lo = spec.zone_lo
+    zone_hi = spec.zone_hi
     # One pass sorts every vehicle into its leg and picks the zone occupants.
     by_leg: dict[str, list[tuple[float, VehicleId, float]]] = {}
     occupants: list[tuple[VehicleId, VehicleState]] = []

@@ -13,6 +13,7 @@ from cavsim.network import (
     Dropped,
     V2XChannel,
     link_stream,
+    seeded_stream,
     transmit,
 )
 from cavsim.types import Beacon, TrajectoryEstimate, VehicleState
@@ -318,6 +319,25 @@ def test_random_draws_the_double_uniform_draws():
     a = link_stream(ChannelModel(seed=3), 0, 1).rng
     b = link_stream(ChannelModel(seed=3), 0, 1).rng
     assert [a.uniform() for _ in range(10_000)] == [b.random() for _ in range(10_000)]
+
+
+def test_seeded_streams_draw_as_the_inline_constructions():
+    """First draws recorded from the inline
+    ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))`` that
+    ``link_stream`` and the random spawns each built before ``seeded_stream``
+    owned it."""
+    link = [0.9284435459532332, 0.18310307633426282, 0.8088385325234915]
+    assert seeded_stream(7, (1, 3, 4)).random(3).tolist() == link
+    assert link_stream(ChannelModel(seed=7), 3, 4).rng.random(3).tolist() == link
+    assert seeded_stream(7, (1, 3, 4)).standard_normal(2).tolist() == [
+        1.1257846158660902,
+        0.5366778731550937,
+    ]
+    assert seeded_stream(42, (2,)).exponential(1.0 / 0.09, 3).tolist() == [
+        2.0948045634151162,
+        3.9168310761567273,
+        1.4351451090782892,
+    ]
 
 
 def test_channel_model_validation():

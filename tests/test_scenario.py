@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from cavsim.scenario import (
@@ -91,6 +93,30 @@ class TestSafetyCheck:
         assert safety_check(states, SPEC) == []
 
 
+class TestConflictZoneBounds:
+    """``IntersectionSpec`` owns the zone bounds that retirement and the
+    safety check read."""
+
+    @pytest.mark.parametrize("length", [12.0, 10.0, 7.3])
+    def test_bounds_equal_the_centred_interval(self, length):
+        spec = dataclasses.replace(SPEC, conflict_zone_length=length)
+        assert spec.zone_lo == spec.crossing_coord - spec.conflict_zone_length / 2.0
+        assert spec.zone_hi == spec.crossing_coord + spec.conflict_zone_length / 2.0
+
+    def test_bounds_are_not_fields(self):
+        fields = dataclasses.asdict(SPEC)
+        assert "zone_lo" not in fields
+        assert "zone_hi" not in fields
+        assert "crossing_coord" not in fields
+
+    def test_zone_is_closed_at_both_bounds(self):
+        # Front bumper on zone_lo and rear bumper on zone_hi both occupy it.
+        states = {0: vs(SPEC.zone_lo, leg="a"), 1: vs(SPEC.zone_hi + 5.0, leg="b")}
+        assert [v.kind for v in safety_check(states, SPEC)] == ["conflict_zone"]
+        states = {0: vs(SPEC.zone_lo - 1e-9, leg="a"), 1: vs(SPEC.zone_hi + 5.0, leg="b")}
+        assert safety_check(states, SPEC) == []
+
+
 class TestSpawnExpansion:
     def test_explicit_events_keep_listed_order_for_ties(self):
         plan = SpawnPlan(
@@ -116,6 +142,15 @@ class TestSpawnExpansion:
         )
         events = expand_random_spawns(plan, (SPEC,), 60.0, seed=3)
         assert len(events) == 5
+
+    def test_random_spawns_draw_from_the_spawn_key(self):
+        # The first arrival time is the first draw of the (2,) stream,
+        # recorded from the inline SeedSequence/PCG64 construction it
+        # replaced.
+        spec = IntersectionSpec(id="x", legs=(LegSpec("a", 500.0),))
+        plan = SpawnPlan(random=RandomSpawnSpec(rate_per_leg=0.09, speed_min=10.0, speed_max=13.0))
+        events = expand_random_spawns(plan, (spec,), 30.0, seed=42)
+        assert events[0].time == 2.0948045634151162
 
     def test_random_speeds_within_range(self):
         plan = SpawnPlan(random=RandomSpawnSpec(rate_per_leg=1.0, speed_min=8.0, speed_max=12.0))
