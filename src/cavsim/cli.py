@@ -152,12 +152,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("empty --steps list")
     if not all(0 < step < float("inf") for step in steps):
         raise ConfigError(f"invalid --steps list: {args.steps!r}: steps must be finite and > 0")
+    # Steps are compared as their run directories' names, so no two share one.
+    names = [f"dt_{step:.6f}" for step in steps]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"invalid --steps list: {args.steps!r}: step {steps[i]} repeated")
     scenario = load_scenario(args.config, seed_override=args.seed)
     rows, results = sweep_prediction_step(scenario, steps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for dt_pred, result in results.items():
-        _write_run_outputs(out_dir / f"dt_{dt_pred:.6f}", result)
+    for name, step in zip(names, steps):
+        _write_run_outputs(out_dir / name, results[step])
     _write_csv(
         out_dir / "sweep.csv",
         SWEEP_COLUMNS,

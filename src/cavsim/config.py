@@ -15,6 +15,9 @@ dataclass read as a nested section, or a tuple read from a YAML list:
 two, each item read as its own kind at ``path[i]``. A section in a list
 defaults its ``id`` to its position. ``_read`` reads every section from
 the schema; only defaults that depend on another section have readers here.
+A field's numeric bounds are its ``metadata`` entries "gt", "ge" and "le",
+which its class checks on construction (``types.check_bounds``); a value
+outside them fails at ``section.key``.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from typing import Any
 
 import yaml
 
-from .control import GainTable
+from .control import ControlGains, GainTable
 from .engine import DEFAULT_GAINS, ControlConfig, ScenarioConfig
-from .errors import ConfigError
+from .errors import BoundError, ConfigError
 from .scenario import IntersectionSpec, SpawnEvent, SpawnPlan
 
 # libyaml's parser when PyYAML was built with it: the same objects as
@@ -136,6 +139,8 @@ def _read(
             raise ConfigError(f"{_at(path, key)}: required key missing")
     try:
         return cls(**kwargs)
+    except BoundError as exc:
+        raise ConfigError(_at(path, str(exc))) from exc
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -165,10 +170,12 @@ def _control(raw: Any, path: str) -> ControlConfig:
     """The control section; ``k`` and ``gamma`` give the single gain pair
     that stands in for an absent (or null) ``gain_table``."""
     section = dict(_mapping(raw, path))
-    k, gamma = (_number(section.pop(key, v), f"{path}.{key}") for key, v in DEFAULT_GAINS.items())
+    pair = {key: section.pop(key) for key in DEFAULT_GAINS if key in section}
+    gains = _read(ControlGains, pair, path, DEFAULT_GAINS)
     if section.get("gain_table") is None:
         section.pop("gain_table", None)
-    return _read(ControlConfig, section, path, {"gain_table": GainTable.single(k, gamma)})
+    single = GainTable.single(gains.k, gains.gamma)
+    return _read(ControlConfig, section, path, {"gain_table": single})
 
 
 def parse_scenario(raw: Mapping[str, Any]) -> ScenarioConfig:

@@ -20,24 +20,23 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import NumericFault
-from .types import TargetView, VehicleState
+from .errors import BoundError, NumericFault
+from .types import TargetView, VehicleState, check_bounds
 
 log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class ControlGains:
-    k: float
-    gamma: float
+    """One gain pair, the owner of the gain bounds: the file keys
+    ``control.k`` and ``control.gamma`` and every gain-table entry."""
+
+    k: float = field(metadata={"key": "k", "gt": 0})
+    gamma: float = field(metadata={"key": "gamma", "ge": 0})
     alpha: int = 1
 
     def __post_init__(self) -> None:
-        # Written as `not x > 0` so NaN fails.
-        if not self.k > 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        check_bounds(self)
         # The int alone: a float zero would make -alpha * k a negative zero.
         if type(self.alpha) is not int:
             raise ValueError(f"alpha must be the int 0 or 1, not {type(self.alpha).__name__}")
@@ -73,7 +72,8 @@ class GainTable:
     Edges define half-open buckets [e0, e1), ..., [e_last, inf); inputs
     below the lowest edge clamp to the first bucket with a warning.
     ``entries[i][j][h]`` is the (k, gamma) pair for ego-speed bucket i,
-    target-speed bucket j, headway bucket h.
+    target-speed bucket j, headway bucket h; each pair must make a
+    ``ControlGains``.
     """
 
     v_i_edges: tuple[float, ...] = field(metadata={"key": "v_i_edges", "default": (0.0,)})
@@ -97,12 +97,17 @@ class GainTable:
                 raise ValueError(f"{name} must not contain duplicates")
         if len(self.entries) != len(self.v_i_edges):
             raise ValueError("entries do not cover every v_i bucket")
-        for plane in self.entries:
+        for i, plane in enumerate(self.entries):
             if len(plane) != len(self.v_j_edges):
                 raise ValueError("entries do not cover every v_j bucket")
-            for row in plane:
+            for j, row in enumerate(plane):
                 if len(row) != len(self.headway_edges):
                     raise ValueError("entries do not cover every headway bucket")
+                for h, (k, gamma) in enumerate(row):
+                    try:
+                        ControlGains(k, gamma)
+                    except BoundError as exc:
+                        raise BoundError(f"entries[{i}][{j}][{h}]", "%s %s" % exc.args) from None
 
     @staticmethod
     def single(k: float, gamma: float) -> "GainTable":

@@ -13,21 +13,18 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import NumericFault
-from .types import VehicleState
+from .types import VehicleState, check_bounds
 
 
 @dataclass(frozen=True)
 class DynamicsLimits:
-    """Actuator saturation. ``decel_max`` is a magnitude (positive)."""
+    """Actuator saturation. ``decel_max`` is a magnitude; infinite limits are allowed."""
 
-    accel_max: float = field(default=3.0, metadata={"key": "accel_max"})
-    decel_max: float = field(default=5.0, metadata={"key": "decel_max"})
-    speed_max: float = field(default=20.0, metadata={"key": "speed_max"})
+    accel_max: float = field(default=3.0, metadata={"key": "accel_max", "gt": 0})
+    decel_max: float = field(default=5.0, metadata={"key": "decel_max", "gt": 0})
+    speed_max: float = field(default=20.0, metadata={"key": "speed_max", "gt": 0})
 
-    def __post_init__(self) -> None:
-        # Written as `not x > 0` so NaN fails; infinite limits are allowed.
-        if not (self.accel_max > 0 and self.decel_max > 0 and self.speed_max > 0):
-            raise ValueError("dynamics limits must all be strictly positive")
+    __post_init__ = check_bounds
 
 
 def step_vehicle(

@@ -83,7 +83,7 @@ from .scenario import (
     project_to_virtual_lane,
     safety_check,
 )
-from .types import Beacon, VehicleId, VehicleState
+from .types import Beacon, VehicleId, VehicleState, check_bounds
 
 log = logging.getLogger(__name__)
 
@@ -97,37 +97,30 @@ CHAIN_BATCH_MIN = 32
 
 @dataclass(frozen=True)
 class EngineConfig:
-    sim_step: float = field(default=0.1, metadata={"key": "sim_step_s"})
-    duration: float = field(default=30.0, metadata={"key": "duration_s"})
+    sim_step: float = field(default=0.1, metadata={"key": "sim_step_s", "gt": 0})
+    duration: float = field(default=30.0, metadata={"key": "duration_s", "ge": 0})
     seed: int = field(default=42, metadata={"key": "seed"})
-    record_every: int = field(default=1, metadata={"key": "record_every"})
+    record_every: int = field(default=1, metadata={"key": "record_every", "ge": 1})
 
-    def __post_init__(self) -> None:
-        # Written as `not x > 0` so NaN fails.
-        if not self.sim_step > 0:
-            raise ValueError(f"sim_step must be > 0, got {self.sim_step}")
-        if not self.duration >= 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
 class EstimatorSettings:
-    """File-level estimator section; horizon given in seconds."""
+    """File-level estimator section; horizon given in seconds. ``EstimatorParams``
+    owns the bounds of every key but ``horizon_s``."""
 
     prediction_step: float = field(default=0.1, metadata={"key": "prediction_step_s"})
-    horizon_s: float = field(default=5.0, metadata={"key": "horizon_s"})
+    horizon_s: float = field(default=5.0, metadata={"key": "horizon_s", "gt": 0})
     a_max: float = field(default=0.73, metadata={"key": "a_max"})
     sigma: float = field(default=4.0, metadata={"key": "sigma"})
     v_target: float = field(default=15.0, metadata={"key": "v_target"})
     implicit_solve: bool = field(default=False, metadata={"key": "implicit_solve"})
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, bool) and not value > 0:
-                raise ValueError(f"{f.metadata['key']} must be > 0, got {value}")
+        # One sample stands in for ``params``' horizon, which divides by the step.
+        EstimatorParams(self.prediction_step, 1, self.a_max, self.sigma, self.v_target)
+        check_bounds(self)
 
     def params(self, limits: DynamicsLimits) -> EstimatorParams:
         n = max(1, round(self.horizon_s / self.prediction_step))
@@ -148,14 +141,12 @@ DEFAULT_GAINS = {"k": 0.5, "gamma": 0.8}
 
 @dataclass(frozen=True)
 class ControlConfig:
-    time_gap: float = field(default=1.5, metadata={"key": "time_gap_s"})
+    time_gap: float = field(default=1.5, metadata={"key": "time_gap_s", "gt": 0})
     gain_table: GainTable = field(
         default_factory=lambda: GainTable.single(**DEFAULT_GAINS), metadata={"key": "gain_table"}
     )
 
-    def __post_init__(self) -> None:
-        if not self.time_gap > 0:
-            raise ValueError(f"time_gap must be > 0, got {self.time_gap}")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
@@ -179,8 +170,8 @@ class ScenarioConfig:
         ratio = dt_pred / dt_sim if dt_pred >= dt_sim else dt_sim / dt_pred
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ConfigError(
-                "estimator.prediction_step: must be an integer multiple of "
-                f"engine.sim_step or vice versa (got {dt_pred} vs {dt_sim})"
+                "estimator.prediction_step_s: must be an integer multiple of "
+                f"engine.sim_step_s or vice versa (got {dt_pred} vs {dt_sim})"
             )
         if not self.intersections:
             raise ConfigError("intersections: at least one intersection required")
@@ -202,11 +193,11 @@ class ScenarioConfig:
                 ) from None
             if event.start_offset >= leg.approach_length:
                 raise ConfigError(
-                    f"spawns.events[{i}].start_offset: beyond leg approach"
+                    f"spawns.events[{i}].start_offset_m: beyond leg approach"
                 )
             if event.speed > self.limits.speed_max:
                 raise ConfigError(
-                    f"spawns.events[{i}].speed: exceeds limits.speed_max"
+                    f"spawns.events[{i}].speed_mps: exceeds dynamics.speed_max"
                 )
 
 

@@ -19,3 +19,11 @@ class ColdStart(CavSimError):
 
 class ConfigError(CavSimError):
     """Scenario configuration is invalid; message carries the field path."""
+
+
+class BoundError(ValueError):
+    """A value outside the bound declared on its config field; ``args`` is
+    (file key, rule), printed as ``key: rule``."""
+
+    def __str__(self) -> str:
+        return "%s: %s" % self.args

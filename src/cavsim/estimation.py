@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from typing import Iterator, Sequence
 
@@ -75,6 +75,7 @@ from .types import (
     TargetView,
     TrajectoryEstimate,
     VehicleState,
+    check_bounds,
     lerp_trajectory,
 )
 
@@ -91,28 +92,20 @@ class EstimatorParams:
     ``limits`` is the ego vehicle's own actuator envelope (a vehicle knows
     what its plant can deliver), which keeps estimates aligned with the
     saturated plant. The default is the unbounded envelope
-    ``DynamicsLimits(inf, inf, inf)``.
+    ``DynamicsLimits(inf, inf, inf)``. The bounds declared here are also
+    those of the file's ``estimator`` keys (see ``EstimatorSettings``).
     """
 
-    prediction_step: float = 0.1
-    horizon_len: int = 50
-    a_max: float = 0.73
-    sigma: float = 4.0
-    v_target: float = 15.0
+    prediction_step: float = field(default=0.1, metadata={"key": "prediction_step_s", "gt": 0})
+    horizon_len: int = field(default=50, metadata={"ge": 1})
+    a_max: float = field(default=0.73, metadata={"gt": 0})
+    sigma: float = field(default=4.0, metadata={"gt": 0})
+    v_target: float = field(default=15.0, metadata={"gt": 0})
     implicit_solve: bool = False
     limits: DynamicsLimits = _UNBOUNDED
 
     def __post_init__(self) -> None:
-        # Written as `not x > 0` so NaN fails.
-        if not self.prediction_step > 0:
-            raise ValueError(f"prediction_step must be > 0, got {self.prediction_step}")
-        if not self.horizon_len >= 1:
-            raise ValueError(f"horizon_len must be >= 1, got {self.horizon_len}")
-        if not (self.a_max > 0 and self.sigma > 0 and self.v_target > 0):
-            raise ValueError(
-                f"a_max, sigma, v_target must be > 0, got {self.a_max}, {self.sigma}, "
-                f"{self.v_target}"
-            )
+        check_bounds(self)
         if not isinstance(self.limits, DynamicsLimits):
             raise TypeError("limits must be a DynamicsLimits; the default is unbounded")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .types import Beacon, SimTime, VehicleId
+from .types import Beacon, SimTime, VehicleId, check_bounds
 
 
 @dataclass(frozen=True)
@@ -25,16 +25,14 @@ class BurstLossModel:
     transmission from the link's own stream.
     """
 
-    p_good_to_bad: float = field(metadata={"key": "p_good_to_bad", "default": 0.0})
-    p_bad_to_good: float = field(metadata={"key": "p_bad_to_good", "default": 1.0})
+    p_good_to_bad: float = field(
+        metadata={"key": "p_good_to_bad", "default": 0.0, "ge": 0, "le": 1}
+    )
+    p_bad_to_good: float = field(
+        metadata={"key": "p_bad_to_good", "default": 1.0, "ge": 0, "le": 1}
+    )
 
-    def __post_init__(self) -> None:
-        for name, p in (
-            ("p_good_to_bad", self.p_good_to_bad),
-            ("p_bad_to_good", self.p_bad_to_good),
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {p}")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
@@ -52,9 +50,10 @@ class ChannelModel:
     by the clock, and ``transmit`` takes no draw.
     """
 
-    delay_mean: float = field(default=0.040, metadata={"key": "delay_mean_s"})
-    delay_std: float = field(default=0.0259, metadata={"key": "delay_std_s"})
-    loss_prob: float = field(default=0.1, metadata={"key": "loss_prob"})
+    # A NaN delay would deliver as a zero delay; the bounds reject it.
+    delay_mean: float = field(default=0.040, metadata={"key": "delay_mean_s", "ge": 0})
+    delay_std: float = field(default=0.0259, metadata={"key": "delay_std_s", "ge": 0})
+    loss_prob: float = field(default=0.1, metadata={"key": "loss_prob", "ge": 0, "le": 1})
     nlos_windows: tuple[tuple[float, float], ...] = field(
         default=(), metadata={"key": "nlos_windows"}
     )
@@ -65,14 +64,7 @@ class ChannelModel:
     )
 
     def __post_init__(self) -> None:
-        # Written as `not x >= 0` so NaN fails: a NaN delay would otherwise
-        # deliver as a zero delay.
-        if not (self.delay_mean >= 0 and self.delay_std >= 0):
-            raise ValueError(
-                f"delay parameters must be >= 0, got {self.delay_mean} and {self.delay_std}"
-            )
-        if not 0.0 <= self.loss_prob <= 1.0:
-            raise ValueError("loss_prob must be in [0, 1]")
+        check_bounds(self)
         ordered = sorted(self.nlos_windows)
         for start, end in ordered:
             if not start < end:

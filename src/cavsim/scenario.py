@@ -14,18 +14,15 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .network import seeded_stream
-from .types import VehicleId, VehicleState
+from .types import VehicleId, VehicleState, check_bounds
 
 
 @dataclass(frozen=True)
 class LegSpec:
     id: str = field(metadata={"key": "id"})
-    approach_length: float = field(metadata={"key": "approach_length_m", "default": 200.0})
+    approach_length: float = field(metadata={"key": "approach_length_m", "default": 200.0, "gt": 0})
 
-    def __post_init__(self) -> None:
-        # Written as `not x > 0` so NaN fails.
-        if not self.approach_length > 0:
-            raise ValueError(f"approach_length must be > 0, got {self.approach_length}")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
@@ -43,14 +40,17 @@ class IntersectionSpec:
 
     id: str = field(metadata={"key": "id"})
     legs: tuple[LegSpec, ...] = field(metadata={"key": "legs"})
-    control_zone_radius: float = field(default=150.0, metadata={"key": "control_zone_radius_m"})
-    conflict_zone_length: float = field(default=12.0, metadata={"key": "conflict_zone_length_m"})
+    control_zone_radius: float = field(
+        default=150.0, metadata={"key": "control_zone_radius_m", "gt": 0}
+    )
+    conflict_zone_length: float = field(
+        default=12.0, metadata={"key": "conflict_zone_length_m", "gt": 0}
+    )
 
     def __post_init__(self) -> None:
         if not self.legs:
             raise ValueError("intersection needs at least one leg")
-        if not self.control_zone_radius > 0:
-            raise ValueError(f"control_zone_radius must be > 0, got {self.control_zone_radius}")
+        check_bounds(self)
         for leg in self.legs:
             if leg.approach_length < self.control_zone_radius:
                 raise ValueError(
@@ -89,37 +89,27 @@ class SpawnEvent:
     time: float = field(metadata={"key": "time_s", "default": 0.0})
     intersection: str = field(metadata={"key": "intersection"})
     leg: str = field(metadata={"key": "leg"})
-    speed: float = field(metadata={"key": "speed_mps", "default": 10.0})
-    length: float = field(default=5.0, metadata={"key": "length_m"})
-    start_offset: float = field(default=0.0, metadata={"key": "start_offset_m"})
+    speed: float = field(metadata={"key": "speed_mps", "default": 10.0, "ge": 0})
+    length: float = field(default=5.0, metadata={"key": "length_m", "gt": 0})
+    start_offset: float = field(default=0.0, metadata={"key": "start_offset_m", "ge": 0})
 
-    def __post_init__(self) -> None:
-        # Written as `not x >= 0` so NaN fails.
-        if not self.speed >= 0:
-            raise ValueError(f"spawn speed must be >= 0, got {self.speed}")
-        if not self.length > 0:
-            raise ValueError(f"vehicle length must be > 0, got {self.length}")
-        if not self.start_offset >= 0:
-            raise ValueError(f"start_offset must be >= 0, got {self.start_offset}")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
 class RandomSpawnSpec:
     """Seeded Poisson arrivals per leg, expanded to events at load time."""
 
-    rate_per_leg: float = field(metadata={"key": "rate_per_leg", "default": 0.1})
-    speed_min: float = field(metadata={"key": "speed_min_mps", "default": 8.0})
+    rate_per_leg: float = field(metadata={"key": "rate_per_leg", "default": 0.1, "gt": 0})
+    speed_min: float = field(metadata={"key": "speed_min_mps", "default": 8.0, "ge": 0})
     speed_max: float = field(metadata={"key": "speed_max_mps", "default": 14.0})
-    length: float = field(default=5.0, metadata={"key": "length_m"})
-    max_vehicles: int | None = field(default=None, metadata={"key": "max_vehicles"})
+    length: float = field(default=5.0, metadata={"key": "length_m", "gt": 0})
+    max_vehicles: int | None = field(default=None, metadata={"key": "max_vehicles", "ge": 0})
 
     def __post_init__(self) -> None:
-        if not self.rate_per_leg > 0:
-            raise ValueError(f"rate_per_leg must be > 0, got {self.rate_per_leg}")
-        if not 0 <= self.speed_min <= self.speed_max:
-            raise ValueError("need 0 <= speed_min <= speed_max")
-        if self.max_vehicles is not None and self.max_vehicles < 0:
-            raise ValueError(f"max_vehicles must be >= 0, got {self.max_vehicles}")
+        check_bounds(self)
+        if not self.speed_min <= self.speed_max:
+            raise ValueError("need speed_min <= speed_max")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared domain types and trajectory-horizon access.
+"""Shared domain types, trajectory-horizon access and config-field bounds.
 
 All times are seconds on the simulation clock; positions are meters along
 the virtual lane; speeds m/s; accelerations m/s^2. A vehicle's ``position``
@@ -8,12 +8,15 @@ is its front bumper, so the bumper-to-bumper gap to a leading vehicle j is
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import HorizonExhausted, NumericFault
+from .errors import BoundError, HorizonExhausted, NumericFault
 
 SimTime = float
 VehicleId = int
@@ -24,6 +27,31 @@ _setattr = object.__setattr__
 
 # Relative tolerance used to snap horizon queries onto exact sample times.
 _GRID_RTOL = 1e-9
+
+# A field's bounds are its metadata entries "gt", "ge" and "le"; all must hold.
+_BOUND_OPS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "le": (operator.le, "<=")}
+
+
+@functools.cache
+def _bounds(cls) -> tuple[tuple[str, str, tuple], ...]:
+    """(field name, key, ((test, symbol, limit), ...)) for each bounded field
+    of ``cls``; the key is ``metadata["key"]``, else the field's name."""
+    return tuple(
+        (f.name, f.metadata.get("key", f.name), bounds)
+        for f in dataclasses.fields(cls)
+        if (bounds := tuple((*_BOUND_OPS[b], f.metadata[b]) for b in _BOUND_OPS if b in f.metadata))
+    )
+
+
+def check_bounds(obj) -> None:
+    """Raise BoundError naming the key and value of the first field of the
+    config dataclass ``obj`` outside its declared bounds. Every bound must
+    hold as written, so NaN fails it; None (an absent optional key) has none."""
+    for name, key, bounds in _bounds(type(obj)):
+        value = getattr(obj, name)
+        if value is not None and not all(test(value, limit) for test, _, limit in bounds):
+            rule = " and ".join(f"{symbol} {limit}" for _, symbol, limit in bounds)
+            raise BoundError(key, f"must be {rule}, got {value}")
 
 
 @dataclass(frozen=True, init=False)

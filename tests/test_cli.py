@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import textwrap
@@ -10,6 +11,7 @@ from cavsim.cli import main
 from cavsim.config import load_scenario, parse_scenario
 from cavsim.errors import ConfigError
 from cavsim.scenario import expand_random_spawns
+from test_config_schema import SECTION_DOCS, declared_bounds, doc_path, node_at
 
 VALID_CONFIG = textwrap.dedent(
     """
@@ -284,30 +286,94 @@ class TestNonFiniteValues:
         assert parse_scenario({"engine": {"record_every": 2.0}}).engine.record_every == 2
 
 
-# (estimator key, value): each must be > 0; zero once divided by zero and a
-# negative horizon became a one-sample horizon.
-NON_POSITIVE_ESTIMATOR_CASES = [
-    ("prediction_step_s", 0),
-    ("horizon_s", -5),
-    ("a_max", -1),
-    ("sigma", 0),
-    ("v_target", 0),
-]
+def out_of_bound_values(op, limit):
+    """Values that break ``op limit``: the limit itself for a strict bound,
+    then one beyond it."""
+    if op == ">":
+        return [limit, limit - 1]
+    return [limit - 1] if op == ">=" else [limit + 1]
+
+
+def out_of_bound_cases():
+    """(section, key, value, broken rule) for every bound declared on a
+    field read from a scenario file; ``SECTION_DOCS[section]`` is the
+    smallest document that holds the section."""
+    for section, key, bounds in declared_bounds():
+        for op, limit in bounds:
+            for value in out_of_bound_values(op, limit):
+                case_id = f"{config_path(doc_path(section))}.{key}={value}"
+                yield pytest.param(section, key, value, f"{op} {limit}", id=case_id)
+
+
+def test_out_of_bound_cases_cover_every_bounded_key():
+    # Guards the walk: every section with a bounded key, the owners' included.
+    keys = {(config_path(doc_path(c.values[0])), c.values[1]) for c in out_of_bound_cases()}
+    assert len(keys) == 29
+    assert {
+        ("estimator", "prediction_step_s"),
+        ("control", "k"),
+        ("control", "gamma"),
+        ("intersections[0]", "conflict_zone_length_m"),
+        ("spawns.random", "length_m"),
+    } <= keys
+
+
+def run_bad(tmp_path, command, doc) -> int:
+    """``command`` on the scenario ``doc``; ``run`` writes to ``tmp_path/out``."""
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    argv = [command, "--config", str(cfg)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    return main(argv)
 
 
 class TestOutOfRangeValues:
+    @pytest.mark.parametrize("section, key, value, rule", out_of_bound_cases())
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_out_of_bound_value_exits_2(self, tmp_path, capsys, section, key, value, rule, command):
+        doc, path = copy.deepcopy(SECTION_DOCS[section]), doc_path(section)
+        node_at(doc, path)[key] = value
+        assert run_bad(tmp_path, command, doc) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {config_path(path)}.{key}: must be ")
+        assert rule in err and f"got {value}" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
-        "key, value", NON_POSITIVE_ESTIMATOR_CASES, ids=[k for k, _ in NON_POSITIVE_ESTIMATOR_CASES]
+        "pair, message",
+        [([-0.3, 0.6], "k must be > 0, got -0.3"), ([0.3, -0.6], "gamma must be >= 0, got -0.6")],
+        ids=["k", "gamma"],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_non_positive_estimator_value_exits_2(self, tmp_path, capsys, key, value, command):
-        cfg = write_with(tmp_path, ("estimator", key), value)
-        argv = [command, "--config", str(cfg)]
-        if command == "run":
-            argv += ["--out", str(tmp_path / "out")]
-        assert main(argv) == 2
+    def test_gain_table_entry_out_of_bound_exits_2(self, tmp_path, capsys, pair, message, command):
+        table = {"headway_edges": [0.0, 50.0], "entries": [[[[0.5, 0.8], pair]]]}
+        assert run_bad(tmp_path, command, {"control": {"gain_table": table}}) == 2
         err = capsys.readouterr().err
-        assert f"configuration error: estimator: {key} must be > 0, got {value}" in err
+        assert err == f"configuration error: control.gain_table.entries[0][0][1]: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "keys, value, edits",
+        [
+            (("control", "k"), -1.0, {}),
+            (("spawns", "random", "length_m"), 0, {}),
+            # The total-loss nominal run, which an inverted zone once turned
+            # from 16 conflict-zone violation-steps into none.
+            (("intersections", 0, "conflict_zone_length_m"), -12.0, {"loss_prob": 1.0}),
+        ],
+        ids=["control.k", "spawns.random.length_m", "conflict_zone_length_m"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_shipped_scenario_with_bad_value_exits_2(
+        self, tmp_path, capsys, keys, value, edits, command
+    ):
+        doc = yaml.safe_load((SCENARIOS / "nominal_intersection.yaml").read_text(encoding="utf-8"))
+        doc["channel"].update(edits)
+        node_at(doc, keys[:-1])[keys[-1]] = value
+        assert run_bad(tmp_path, command, doc) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {config_path(keys)}: must be > 0, got {value}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", [0, -1.5])
@@ -315,9 +381,9 @@ class TestOutOfRangeValues:
         # ControlConfig owns time_gap > 0; the follower estimator relies on it.
         cfg = write_with(tmp_path, ("control", "time_gap_s"), value)
         assert main(["validate", "--config", str(cfg)]) == 2
-        assert "configuration error: control: time_gap must be > 0" in capsys.readouterr().err
+        assert "configuration error: control.time_gap_s: must be > 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("steps", ["0.1,0", "-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("steps", ["0.1,0", "-0.5", "nan", "inf", "1.0,1.0", "0.1,0.1000001"])
     def test_sweep_non_positive_step_exits_2(self, tmp_path, capsys, steps):
         cfg = write_config(tmp_path)
         out = tmp_path / "s"
@@ -329,7 +395,7 @@ class TestOutOfRangeValues:
         cfg = write_with(tmp_path, ("spawns", "random", "max_vehicles"), -1)
         assert main(["validate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "configuration error: spawns.random: max_vehicles must be >= 0, got -1" in err
+        assert "configuration error: spawns.random.max_vehicles: must be >= 0, got -1" in err
 
     def test_zero_max_vehicles_spawns_no_random_arrival(self):
         scenario = parse_scenario({"spawns": {"random": {"max_vehicles": 0}}})

@@ -17,8 +17,10 @@ import yaml
 
 from cavsim.cli import main
 from cavsim.config import parse_scenario
-from cavsim.engine import DEFAULT_GAINS, ControlConfig, ScenarioConfig
+from cavsim.control import ControlGains
+from cavsim.engine import DEFAULT_GAINS, ControlConfig, EstimatorSettings, ScenarioConfig
 from cavsim.errors import ConfigError
+from cavsim.estimation import EstimatorParams
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -114,6 +116,45 @@ def test_readme_table_lists_every_key():
         obj = resolved(parse_scenario(SECTION_DOCS[section]), doc_path(section))
         keys = [key for key, _ in entries]
         assert len(keys) == len(set(keys)) and set(keys) == schema_keys(obj), section
+
+
+# The types that own the bounds of a section's keys where the section's own
+# type does not declare them.
+BOUND_OWNERS = {EstimatorSettings: (EstimatorParams,), ControlConfig: (ControlGains,)}
+
+
+BOUND_SYMBOLS = {"gt": ">", "ge": ">=", "le": "<="}
+
+
+def declared_bounds():
+    """(README section, file key, [(symbol, limit), ...]) for every key read
+    from a scenario file whose field declares bounds."""
+    for section, doc in SECTION_DOCS.items():
+        obj = resolved(parse_scenario(doc), doc_path(section))
+        keys = schema_keys(obj)
+        for owner in (type(obj), *BOUND_OWNERS.get(type(obj), ())):
+            for f in dataclasses.fields(owner):
+                key = f.metadata.get("key", f.name)
+                bounds = [(op, f.metadata[b]) for b, op in BOUND_SYMBOLS.items() if b in f.metadata]
+                if bounds and key in keys:
+                    yield section, key, bounds
+
+
+def test_readme_states_each_declared_bound():
+    # A note's part that starts with a comparison is the key's bound, written
+    # as the error message writes it: "> 0", or ">= 0 and <= 1".
+    stated = {
+        (section, key): part.strip()
+        for section, entries in readme_rows().items()
+        for key, note in entries
+        for part in note.split(";")[1:]
+        if part.strip().startswith((">", "<"))
+    }
+    declared = {
+        (section, key): " and ".join(f"{op} {limit}" for op, limit in bounds)
+        for section, key, bounds in declared_bounds()
+    }
+    assert stated == declared
 
 
 def documented_defaults():

@@ -19,7 +19,7 @@ class TestDynamicsLimits:
     @pytest.mark.parametrize("field", ["accel_max", "decel_max", "speed_max"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_non_positive_or_nan_rejected(self, field, value):
-        with pytest.raises(ValueError, match="strictly positive"):
+        with pytest.raises(ValueError, match=f"{field}: must be > 0"):
             DynamicsLimits(**{field: value})
 
     def test_unbounded_limits_allowed(self):

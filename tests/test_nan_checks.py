@@ -37,18 +37,18 @@ def test_trajectory_estimate_rejects_nan_step():
 
 @pytest.mark.parametrize("field", ["k", "gamma"])
 def test_control_gains_reject_nan(field):
-    with pytest.raises(ValueError, match=f"{field} must be"):
+    with pytest.raises(ValueError, match=f"{field}: must be"):
         ControlGains(**{"k": 0.5, "gamma": 0.8, field: NAN})
 
 
 @pytest.mark.parametrize("field", ["sim_step", "duration"])
 def test_engine_config_rejects_nan(field):
-    with pytest.raises(ValueError, match=f"{field} must be"):
+    with pytest.raises(ValueError, match=f"{field}_s: must be"):
         EngineConfig(**{field: NAN})
 
 
 def test_control_config_rejects_nan_time_gap():
-    with pytest.raises(ValueError, match="time_gap must be > 0, got nan"):
+    with pytest.raises(ValueError, match="time_gap_s: must be > 0, got nan"):
         ControlConfig(time_gap=NAN)
 
 
