@@ -164,7 +164,16 @@ class ScenarioConfig:
     spawns: SpawnPlan = field(default_factory=SpawnPlan, metadata={"key": "spawns"})
 
     def validate(self) -> None:
-        """Cross-field checks; raises ConfigError naming the offending field."""
+        """Finiteness and cross-field checks; raises ConfigError naming the offending field."""
+        # Each is rounded into a step or sample count, which overflows for inf.
+        for key, value in (
+            ("engine.sim_step_s", self.engine.sim_step),
+            ("engine.duration_s", self.engine.duration),
+            ("estimator.prediction_step_s", self.estimator.prediction_step),
+            ("estimator.horizon_s", self.estimator.horizon_s),
+        ):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         dt_sim = self.engine.sim_step
         dt_pred = self.estimator.prediction_step
         ratio = dt_pred / dt_sim if dt_pred >= dt_sim else dt_sim / dt_pred
@@ -218,7 +227,6 @@ class _SimVehicle:
     view_position: float | None = None
     view_speed: float | None = None
     min_speed: float = math.inf
-    full_stopped: bool = False
     retired_at: float | None = None
 
 
@@ -474,11 +482,10 @@ class SimulationEngine:
                     beacon = Beacon(vid, now, veh.state, veh.est.own_estimate)
                     self.channel.send(beacon, follower, now)
                     if batch and vid == order[0]:
-                        chain = [self.vehicles[f] for f in order[1:]]
                         rows = chain_follower_horizons(
                             now,
                             beacon,
-                            [(f.state, f.gains) for f in chain],
+                            [(self.vehicles[f].state, self.vehicles[f].gains) for f in order[1:]],
                             self.t_gap,
                             self.params,
                         )
@@ -538,8 +545,6 @@ class SimulationEngine:
                 # On a tie (0.0 against -0.0) the held value stays.
                 if speed < veh.min_speed:
                     veh.min_speed = speed
-                if speed < FULL_STOP_SPEED:
-                    veh.full_stopped = True
             link_up = 1 if veh.est.link_up else 0
             view_position = veh.view_position
             err = None
@@ -573,9 +578,7 @@ class SimulationEngine:
                 )
         for iid, spec in self.intersections.items():
             for violation in safety_check(states[iid], spec):
-                result.violations.append(
-                    (now, violation.kind, violation.vehicle_a, violation.vehicle_b, violation.detail)
-                )
+                result.violations.append((now, *violation))
 
     # -- main loop ------------------------------------------------------
 
@@ -628,7 +631,7 @@ class SimulationEngine:
                 "entry_time_s": _grid_time(veh.entry_time),
                 "retired_at_s": _grid_time(veh.retired_at),
                 "min_speed_in_zone_mps": None if math.isinf(veh.min_speed) else veh.min_speed,
-                "full_stop": veh.full_stopped,
+                "full_stop": veh.min_speed < FULL_STOP_SPEED,
                 "max_abs_pos_err_m": max((abs(e) for e in veh_errors), default=None),
                 "rms_pos_err_m": _rms(veh_errors),
                 "steps_link_up": linked,
@@ -639,7 +642,7 @@ class SimulationEngine:
             "max_abs_pos_err_m": max((abs(e) for e in errors), default=0.0),
             "rms_pos_err_m": _rms(errors) or 0.0,
             "violation_count": len(result.violations),
-            "full_stop_count": sum(1 for v in everyone.values() if v.full_stopped),
+            "full_stop_count": sum(stats["full_stop"] for stats in per_vehicle.values()),
             "vehicle_count": len(everyone),
             "steps": len(step_times),
             "mean_step_wallclock_ms": (
@@ -671,8 +674,11 @@ def sweep_prediction_step(
     """One run per prediction step, identical seed and scenario.
 
     Returns the comparison table (rows in the given order) and the
-    per-step RunResults.
+    per-step RunResults, keyed by step, so a repeated step is a ConfigError.
     """
+    for i, dt_pred in enumerate(steps):
+        if dt_pred in steps[:i]:
+            raise ConfigError(f"steps: prediction step {dt_pred} repeated")
     rows: list[dict] = []
     results: dict[float, RunResult] = {}
     for dt_pred in steps:

@@ -11,7 +11,7 @@ it as one list of vehicle ids per intersection (``SimulationEngine.orders``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .network import seeded_stream
 from .types import VehicleId, VehicleState, check_bounds
@@ -164,8 +164,7 @@ def assign_targets(order: list[VehicleId]) -> Iterator[tuple[VehicleId, VehicleI
     return zip(order, [None, *order[:-1]])
 
 
-@dataclass(frozen=True)
-class SafetyViolation:
+class SafetyViolation(NamedTuple):
     kind: str  # "rear_end" or "conflict_zone"
     vehicle_a: VehicleId
     vehicle_b: VehicleId

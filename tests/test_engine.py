@@ -284,6 +284,24 @@ class TestValidation:
         with pytest.raises(ConfigError):
             run(scenario)
 
+    # Each passes its field's bound when built in code; the file reader
+    # rejects inf before a config type is built.
+    @pytest.mark.parametrize(
+        "section, name, key",
+        [
+            ("engine", "sim_step", "engine.sim_step_s"),
+            ("engine", "duration", "engine.duration_s"),
+            ("estimator", "prediction_step", "estimator.prediction_step_s"),
+            ("estimator", "horizon_s", "estimator.horizon_s"),
+        ],
+    )
+    def test_infinite_setting_rejected_at_its_key(self, section, name, key):
+        scenario = perfect_two_vehicle(duration=2.0)
+        infinite = dataclasses.replace(getattr(scenario, section), **{name: math.inf})
+        with pytest.raises(ConfigError) as exc:
+            run(dataclasses.replace(scenario, **{section: infinite}))
+        assert str(exc.value) == f"{key}: expected a finite number, got inf"
+
 
 class TestSweep:
     def test_single_step_single_row(self):
@@ -303,6 +321,13 @@ class TestSweep:
         rows, _ = sweep_prediction_step(scenario, [0.1])
         assert rows[0]["max_abs_pos_err_m"] < 1e-6
 
+    def test_repeated_step_rejected_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(engine_module, "run", runs.append)
+        with pytest.raises(ConfigError, match="prediction step 1.0 repeated"):
+            sweep_prediction_step(perfect_two_vehicle(duration=2.0), [1.0, 0.5, 1.0])
+        assert runs == []
+
 
 def test_summary_contains_stable_keys():
     result = run(perfect_two_vehicle(duration=5.0))
@@ -316,6 +341,42 @@ def test_summary_contains_stable_keys():
         "per_vehicle",
     ):
         assert key in result.summary
+
+
+class TestFullStops:
+    """A vehicle made a full stop when its minimum control-zone speed is
+    below ``FULL_STOP_SPEED`` (0.5 m/s)."""
+
+    def test_derived_from_the_zone_minimum_speed(self):
+        # Demand over capacity: 15 of the 20 vehicles stop in the zone.
+        result = run(_nominal_at_rate(0.3))
+        per_vehicle = result.summary["per_vehicle"].values()
+        stopped = 0
+        for stats in per_vehicle:
+            minimum = stats["min_speed_in_zone_mps"]
+            assert stats["full_stop"] == (minimum is not None and minimum < 0.5)
+            stopped += stats["full_stop"]
+        assert result.summary["full_stop_count"] == stopped == 15
+
+    def test_the_threshold_speed_itself_is_no_stop(self):
+        # Both vehicles spawn 100 m before the crossing, inside the control
+        # zone, and the one-step run records their spawn speeds alone.
+        spec = IntersectionSpec(id="x", legs=(LegSpec("a", 400.0), LegSpec("b", 400.0)))
+        scenario = ScenarioConfig(
+            engine=EngineConfig(sim_step=0.1, duration=0.1, seed=1),
+            channel=PERFECT_CHANNEL,
+            intersections=(spec,),
+            spawns=SpawnPlan(
+                events=(
+                    SpawnEvent(time=0.0, intersection="x", leg="a", speed=0.5, start_offset=300.0),
+                    SpawnEvent(time=0.0, intersection="x", leg="b", speed=0.4, start_offset=300.0),
+                )
+            ),
+        )
+        summary = run(scenario).summary
+        outcomes = [(s["min_speed_in_zone_mps"], s["full_stop"]) for s in summary["per_vehicle"].values()]
+        assert outcomes == [(0.5, False), (0.4, True)]
+        assert summary["full_stop_count"] == 1
 
 
 def test_per_vehicle_summary_matches_brute_force():
