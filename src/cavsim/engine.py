@@ -675,15 +675,18 @@ def sweep_prediction_step(
 
     Returns the comparison table (rows in the given order) and the
     per-step RunResults, keyed by step, so a repeated step is a ConfigError.
+    Every step's scenario is validated before the first run.
     """
+    scenarios: list[ScenarioConfig] = []
     for i, dt_pred in enumerate(steps):
         if dt_pred in steps[:i]:
             raise ConfigError(f"steps: prediction step {dt_pred} repeated")
+        est = dataclasses.replace(scenario.estimator, prediction_step=dt_pred)
+        scenarios.append(dataclasses.replace(scenario, estimator=est))
+        scenarios[-1].validate()
     rows: list[dict] = []
     results: dict[float, RunResult] = {}
-    for dt_pred in steps:
-        est = dataclasses.replace(scenario.estimator, prediction_step=dt_pred)
-        run_scenario = dataclasses.replace(scenario, estimator=est)
+    for dt_pred, run_scenario in zip(steps, scenarios):
         result = run(run_scenario)
         results[dt_pred] = result
         rows.append(

@@ -7,8 +7,10 @@ driving toward a preset target speed (``_leader_horizon``); a follower
 propagates the consensus law along the horizon using its target's latest
 broadcast, compensated for the age of the received horizon
 (``follower_estimate``). When no beacon arrives, the previous estimate is
-held (shifted to the new anchor), and the follower's controller reads the
-target's last broadcast horizon instead of live data.
+held (shifted to the new anchor). The controller's view of the target
+(``target_motion_for_control``) is its latest beacon's ground truth while
+that is under one prediction step old, else the target's broadcast horizon
+read at the current time, with the final speed held past its end.
 
 Conventions shared with the plant: forward Euler, positions integrated from
 the pre-update speed, speeds clamped into the actuator envelope
@@ -540,32 +542,25 @@ def target_motion_for_control(
 ) -> TargetView:
     """Target motion fed to the consensus controller at time ``now``.
 
-    Link up: the beacon's carried ground truth, aged forward by the measured
-    beacon age (speed held below one prediction step, first-order-hold
-    extrapolated above; position advanced by the compensated speed). Link
-    down: the target's last broadcast horizon, interpolated at ``now``. Past
-    the horizon end: final sample speed held, position extrapolated at that
-    speed, and ``state.horizon_exhausted`` set for the metrics recorder.
+    One rule on the beacon age ``tau = now - beacon.send_time``. Below one
+    prediction step: the beacon's carried ground truth, its position
+    advanced at its speed over ``tau``. Otherwise: the target's broadcast
+    horizon, interpolated at ``now``. Past the horizon end: final sample
+    speed held, position extrapolated at that speed, and
+    ``state.horizon_exhausted`` set for the metrics recorder.
+
+    The rule does not read ``state.link_up``: the engine marks a link down
+    only once its last arrival is more than one prediction step old, so a
+    down link's beacon always reads its horizon.
     """
     beacon = state.last_target_beacon
     if beacon is None:
         raise ColdStart("no beacon ever received from target")
     state.horizon_exhausted = False
     target = beacon.state
-    if state.link_up:
-        tau = now - beacon.send_time
-        if tau < params.prediction_step:
-            v_view = target.speed
-        else:
-            # Rate term sampled at the horizon interval containing the aged
-            # time, so a transient kink right at the anchor is not amplified
-            # by tau/step.
-            est = beacon.estimate
-            aged = (now - est.anchor_time) / est.step
-            j = min(max(math.floor(aged), 0), est.horizon_len - 1)
-            delta = est.speed_at(j + 1) - est.speed_at(j)
-            v_view = max(0.0, target.speed + (tau / est.step) * delta)
-        return TargetView(target.position + v_view * tau, v_view, target.length, t_gap)
+    tau = now - beacon.send_time
+    if tau < params.prediction_step:
+        return TargetView(target.position + target.speed * tau, target.speed, target.length, t_gap)
     est = beacon.estimate
     try:
         v_view, r_view = lerp_trajectory(est, now)

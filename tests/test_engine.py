@@ -328,6 +328,14 @@ class TestSweep:
             sweep_prediction_step(perfect_two_vehicle(duration=2.0), [1.0, 0.5, 1.0])
         assert runs == []
 
+    def test_invalid_later_step_rejected_before_any_run(self, monkeypatch):
+        # 0.03 s is no integer multiple or divisor of the 0.1 s simulation step.
+        runs = []
+        monkeypatch.setattr(engine_module, "run", runs.append)
+        with pytest.raises(ConfigError, match="estimator.prediction_step_s: must be an integer"):
+            sweep_prediction_step(perfect_two_vehicle(duration=2.0), [0.1, 0.03])
+        assert runs == []
+
 
 def test_summary_contains_stable_keys():
     result = run(perfect_two_vehicle(duration=5.0))

@@ -761,8 +761,10 @@ class TestTargetMotionForControl:
         assert view.length == truth.length
 
     def test_link_down_reads_horizon(self):
-        est = estimate_from([10.0, 11.0], anchor_time=4.9, step=0.1)
-        st_ = self._linked_state(est, 4.9, vstate(r=est.anchor_position, v=est.anchor_speed))
+        # The engine marks a link down only once its beacon is at least one
+        # prediction step old; here it is two.
+        est = estimate_from([10.0, 11.0, 12.0], anchor_time=4.8, step=0.1)
+        st_ = self._linked_state(est, 4.8, vstate(r=est.anchor_position, v=est.anchor_speed))
         st_.link_up = False
         view = target_motion_for_control(st_, 5.0, 1.5, params())
         speed, position = lerp_trajectory(est, 5.0)
@@ -783,14 +785,22 @@ class TestTargetMotionForControl:
         with pytest.raises(ColdStart):
             target_motion_for_control(EstimatorState(), 0.0, 1.5, params())
 
-    def test_aged_link_extrapolates_speed(self):
-        # beacon age of two prediction steps on a ramping profile
+    def test_aged_link_reads_horizon(self):
+        # beacon age of two prediction steps on a ramping profile, link up
         est = estimate_from([10.1, 10.2, 10.3, 10.4], anchor_time=5.0, anchor_speed=10.0)
         truth = vstate(r=est.anchor_position, v=10.0)
         st_ = self._linked_state(est, 5.0, truth)
         view = target_motion_for_control(st_, 5.2, 1.5, params())
-        assert view.speed > truth.speed
-        assert view.position == pytest.approx(truth.position + view.speed * 0.2)
+        assert (view.speed, view.position) == lerp_trajectory(est, 5.2)
+        assert not st_.horizon_exhausted
+
+    def test_age_just_under_one_step_gives_the_truth(self):
+        est = estimate_from([10.1, 10.2, 10.3, 10.4], anchor_time=5.0, anchor_speed=10.0)
+        truth = vstate(r=7.0, v=10.0)
+        st_ = self._linked_state(est, 5.0, truth)
+        view = target_motion_for_control(st_, 5.0999, 1.5, params())
+        assert view.speed == truth.speed
+        assert view.position == truth.position + truth.speed * (5.0999 - 5.0)
 
 
 class TestUpdateEstimates:

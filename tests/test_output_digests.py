@@ -5,12 +5,15 @@ The sha256 of ``trajectory.csv`` followed by ``metrics.csv`` from
 to be a pure speed-up must keep these digests; a change that moves a
 simulated result must update them and say why.
 
-The values were last moved when vehicles that have crossed and cleared the
-conflict zone started to be retired: ``trajectory.csv`` now ends each such
-vehicle's rows at its retirement, and ``metrics.csv`` is unchanged. The
-digests from before, with every vehicle simulated to the end of the run
-(``5119b2d3...`` and ``c477c0a4...``), are still asserted on the engine with
-retirement switched off in ``test_retirement.py``.
+``paper_stress`` was last moved when the controller view began reading
+the target's broadcast horizon for a beacon at least one prediction step
+old, in place of extrapolating the beacon's ground truth. Both were moved
+before that when vehicles that have crossed and cleared the conflict zone
+started to be retired: ``trajectory.csv`` now ends each such vehicle's rows
+at its retirement, and ``metrics.csv`` is unchanged. The digests with every
+vehicle simulated to the end of the run (``bdac5e5f...`` and
+``c477c0a4...``) are asserted on the engine with retirement switched off in
+``test_retirement.py``.
 
 The values were recorded with Python 3.11 and numpy 2.4. Another Python or
 numpy build may format or round differently; the digests are for that
@@ -27,7 +30,7 @@ from cavsim.cli import main
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 DIGESTS = {
-    "paper_stress": "c4777d459c4992ed60462e70e661145e1dfc396d579b2b4441e077282fe610e2",
+    "paper_stress": "fc157377130604674fe61c7e64aee4abb6dfb0eee8bb5fcbc01129a5408503c2",
     "nominal_intersection": "775f825ab8629ece5e8869f887c5342f2f3732ddc4a6df986c3ca0760b3a7f8d",
 }
 

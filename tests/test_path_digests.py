@@ -321,23 +321,23 @@ ENGINE_PATH_CASES = {
     "two_intersections": (
         _two_intersections(),
         _crosses_both_intersections,
-        "1edbbed07d5e6b294686f7c063f2d430f9a5a6b11bfaacd738c3aae5f4d6e38b",
-        "1ad0fa8bb2340c0e141a37c380ae3a686dcb89029a990b53bfc00496b3764864",
-        "7cc6f43ccb415884eabe3c2b18378a9c33109c5654d1b07d44271553b7a6cc9b",
+        "1f489882796aa9bb01b78e839039de29423983a07e63872f28b8cbbda21e9543",
+        "b5a0c5f1f3009851d6d3a06df5e1b30806adfd534f9c30ed796bff755b82187d",
+        "f534c27eb626fc82600846c736c855c1202620cad77d332ef41216f080dccd48",
     ),
     "nlos_impaired": (
         paper_stress(prediction_step=0.1, duration=10.0),
         _drops_in_nlos_on_impaired_links_only,
-        "f02068c99f89f4f18f1689d8a8c01c2f4fc5e65facf9375fabd8fbb585cc380f",
-        "2a35189abac0138aee6c3d496a9fb293002a76eb6652773420de8965eca23faa",
-        "ce3065579443cf7f45a3532a22df93e005141f0c59b9fbce9d227d68fe2e9c6e",
+        "ce5b7843ae10e0c03ded652c12df1ded089321f495edbd67d48b5525e2e8d978",
+        "2e644c7c6616fc15e685e3182056a10107b7ee3701e74b10dd544e23b2f4726d",
+        "6c158e4ee20751697a39d293bcd40ca9d4b299d1f508961cda697c09fb444371",
     ),
     "burst_loss": (
         _burst_loss(),
         _enters_the_bad_state,
-        "4be3e7e9403f5179c29276b65eff74d050cf5efb56a8506772de34fdf1ef3a30",
-        "9d9929cbcecb65dd6407c327732ba77f35e11d99119465a402da76c662997dfb",
-        "f4296f9b6e5aad14384d6cc62f3002aa29c7f0af9ec8d3c097f3ab949e29c752",
+        "d693bb008705b3df5324a74277fa6684a71e8d1e8cf97740192ca2e77d59379c",
+        "5135169d5b7de0088796fe5b9a7869e1695a41babce8a78481f6ff8b44e93c3f",
+        "53d1f232206786f84969724b73e530434246e78bd6ef1e1ff61126fa251e9980",
     ),
     "record_every_3": (
         _replace(_short_twenty(), "engine", record_every=3),
@@ -351,16 +351,16 @@ ENGINE_PATH_CASES = {
             paper_stress(prediction_step=0.1, duration=10.0), "estimator", implicit_solve=True
         ),
         _solves_implicitly,
-        "c8f210d5bdaa98f2735fe4ff386f4d5edcc461a379ce39bb2b3e63b9b8116005",
-        "c5e861db420530d4d9e89eff5394f70b61e8a9b34061734912ab04317f0c5d0a",
-        "df4748c1531013041f3729af0aa61aa784922bfc761285041c1230ee7aa37b23",
+        "6d42189abd0dc64918bd1a9d6fa197af653989f28888d62f038f27ffa64329f0",
+        "38f72bb16682b3df0e36ad8d2c81f6b40d40466b6eb82150665b6500b8ca35a7",
+        "ec2ac93627a0c752ae313cb9eb975a737c8d67831196d996448be2145f2ea999",
     ),
     "leader_update": (
         _long_traffic_seed_1(),
         _updates_leader_horizons,
-        "8ce93d178ef49f44d9595ad59db6ee1a611aa66708447205f9ce7f9653315fed",
-        "9683f3d9edb6be58a56e2aefa81c48739d9df947a58155c93b9c7e04004f752e",
-        "790203d180de3a228cf2157b7ffc1a0eaacd28baa47730843ecde82411cc7493",
+        "b002e853bfc25489452278c2f0484a79c1021a2962c6d067585e2bbd3a0990bb",
+        "4c3e41c801cb6d3756d90921a311799756bcc57357d628493a08bbda765ab8c8",
+        "b6b90125ac063b6da9c075fdab67c0f20c4e9655f43e4813601f826c78d171f6",
     ),
 }
 

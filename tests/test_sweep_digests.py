@@ -25,17 +25,17 @@ WALL_CLOCK = "mean_step_wallclock_ms"
 # directory: {file: sha256}
 RUN_DIGESTS = {
     "dt_0.100000": {
-        "trajectory.csv": "3e0f051226f0a91f91d4e228cd1bdfbc4f104cce0e96aaefab49af31fb3c9c93",
-        "metrics.csv": "4b8e1a7e30ced7436ceed2afdfce28da676cd27f02cf740f945be38030638493",
-        "summary.json": "9d827cdf1fa9ef364de482cd9d8a2054478b4959718b65f6818a3e9c9a509b99",
+        "trajectory.csv": "4585796da0573e18a04fd3fe563ef1a822f955ae000e978c5378897ba4cf07aa",
+        "metrics.csv": "dcfffe5ebed8084895ad42a0d7c2f29f098d1946f2e4b288862a574aa688be95",
+        "summary.json": "9c9568707c649c466be474195a5365d37b1d8249d678aaba942e1ae7d7e9081c",
     },
     "dt_1.000000": {
-        "trajectory.csv": "e6aa5f1499b60a04dc88e799cb0143002b076c90f45a83efc3ebbf1d4eeafdd4",
-        "metrics.csv": "a34d675ba1826ba71fdb3b88867126cfd128185375d70f5047f4ba58f93aaa22",
-        "summary.json": "52bff609cb6d895bce4ee6f68f506679c862b325f73b3a7401c44113d136ec25",
+        "trajectory.csv": "60dd92f6981b14c1b02446ef79075b6ec8774147f1a98dc2a7bb4fc018bc051e",
+        "metrics.csv": "82f084d0eaae330b27edd69a57914f338be79b7c08bfa4fbd663f08dc120131c",
+        "summary.json": "42a36021097bbb71314bd279be757b2652fe946964133493bc9dd1281b98112a",
     },
 }
-SWEEP_DIGEST = "1c6e529c3efb5bbbc8b54215e79861e640fa2a99615cc6b1141945a409628230"
+SWEEP_DIGEST = "81916f02f476a72fcc1ea885f7d726eb0e6da8734fbeff8eaf744182df9f8bd7"
 
 
 def _sha256(data: bytes) -> str:
