@@ -8,7 +8,6 @@ from .dynamics import DynamicsLimits, step_vehicle
 from .engine import (
     ControlConfig,
     EngineConfig,
-    EstimatorSettings,
     RunResult,
     ScenarioConfig,
     run,
@@ -17,7 +16,6 @@ from .engine import (
 from .errors import CavSimError, ColdStart, ConfigError, HorizonExhausted, NumericFault
 from .estimation import (
     EstimatorParams,
-    EstimatorState,
     integrate_position,
     predict_leader_speed,
     target_motion_for_control,

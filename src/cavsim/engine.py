@@ -39,7 +39,7 @@ Per-step phase order (identical every step, deterministic given the seed):
    channel condition only spares computing rows nobody takes. A
    free-driving refresh hands ``leader_estimate`` the vehicle's previous
    horizon when that horizon is a free-driving one too
-   (``EstimatorState.free_driving``), so it can advance it by one sample
+   (``_SimVehicle.free_driving``), so it can advance it by one sample
 5. each vehicle computes next step's acceleration command: consensus law
    from its delay-compensated target view when following, free driving
    toward the preset target speed otherwise
@@ -48,6 +48,9 @@ Per-step phase order (identical every step, deterministic given the seed):
 Commands computed at step s therefore act on the transition into step s+1,
 and no vehicle acts on same-step information it could not have received
 through the channel.
+
+The engine's vehicle record, ``_SimVehicle``, holds every per-vehicle fact,
+the estimator's memory included; the estimation functions keep no state.
 """
 
 from __future__ import annotations
@@ -62,10 +65,9 @@ from typing import Callable, Sequence
 
 from .control import ControlGains, GainTable, consensus_accel, lookup_gains
 from .dynamics import DynamicsLimits, step_vehicle
-from .errors import ConfigError, NumericFault
+from .errors import BoundError, ConfigError, NumericFault
 from .estimation import (
     EstimatorParams,
-    EstimatorState,
     chain_follower_horizons,
     follower_estimate,
     idm_free_accel,
@@ -83,7 +85,7 @@ from .scenario import (
     project_to_virtual_lane,
     safety_check,
 )
-from .types import Beacon, VehicleId, VehicleState, check_bounds
+from .types import Beacon, TargetView, TrajectoryEstimate, VehicleId, VehicleState, check_bounds
 
 log = logging.getLogger(__name__)
 
@@ -105,36 +107,6 @@ class EngineConfig:
     __post_init__ = check_bounds
 
 
-@dataclass(frozen=True)
-class EstimatorSettings:
-    """File-level estimator section; horizon given in seconds. ``EstimatorParams``
-    owns the bounds of every key but ``horizon_s``."""
-
-    prediction_step: float = field(default=0.1, metadata={"key": "prediction_step_s"})
-    horizon_s: float = field(default=5.0, metadata={"key": "horizon_s", "gt": 0})
-    a_max: float = field(default=0.73, metadata={"key": "a_max"})
-    sigma: float = field(default=4.0, metadata={"key": "sigma"})
-    v_target: float = field(default=15.0, metadata={"key": "v_target"})
-    implicit_solve: bool = field(default=False, metadata={"key": "implicit_solve"})
-
-    def __post_init__(self) -> None:
-        # One sample stands in for ``params``' horizon, which divides by the step.
-        EstimatorParams(self.prediction_step, 1, self.a_max, self.sigma, self.v_target)
-        check_bounds(self)
-
-    def params(self, limits: DynamicsLimits) -> EstimatorParams:
-        n = max(1, round(self.horizon_s / self.prediction_step))
-        return EstimatorParams(
-            prediction_step=self.prediction_step,
-            horizon_len=n,
-            a_max=self.a_max,
-            sigma=self.sigma,
-            v_target=self.v_target,
-            implicit_solve=self.implicit_solve,
-            limits=limits,
-        )
-
-
 # File keys ``control.k`` and ``control.gamma``: the gain pair when there is no gain table.
 DEFAULT_GAINS = {"k": 0.5, "gamma": 0.8}
 
@@ -153,8 +125,8 @@ class ControlConfig:
 class ScenarioConfig:
     engine: EngineConfig = field(default_factory=EngineConfig, metadata={"key": "engine"})
     channel: ChannelModel = field(default_factory=ChannelModel, metadata={"key": "channel"})
-    estimator: EstimatorSettings = field(
-        default_factory=EstimatorSettings, metadata={"key": "estimator"}
+    estimator: EstimatorParams = field(
+        default_factory=EstimatorParams, metadata={"key": "estimator"}
     )
     control: ControlConfig = field(default_factory=ControlConfig, metadata={"key": "control"})
     limits: DynamicsLimits = field(default_factory=DynamicsLimits, metadata={"key": "dynamics"})
@@ -165,19 +137,22 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Finiteness and cross-field checks; raises ConfigError naming the offending field."""
-        # Each is rounded into a step or sample count, which overflows for inf.
-        for key, value in (
-            ("engine.sim_step_s", self.engine.sim_step),
-            ("engine.duration_s", self.engine.duration),
-            ("estimator.prediction_step_s", self.estimator.prediction_step),
-            ("estimator.horizon_s", self.estimator.horizon_s),
+        dt_sim = self.engine.sim_step
+        dt_pred = self.estimator.prediction_step
+        # Each is rounded into a step or sample count, which overflows for
+        # inf, and so does a finite span over its step whose quotient is inf.
+        for key, value, step in (
+            ("engine.sim_step_s", dt_sim, 1.0),
+            ("engine.duration_s", self.engine.duration, dt_sim),
+            ("estimator.prediction_step_s", dt_pred, 1.0),
+            ("estimator.horizon_s", self.estimator.horizon_s, dt_pred),
         ):
             if not math.isfinite(value):
                 raise ConfigError(f"{key}: expected a finite number, got {value!r}")
-        dt_sim = self.engine.sim_step
-        dt_pred = self.estimator.prediction_step
+            if not math.isfinite(value / step):
+                raise ConfigError(f"{key}: {value!r} s holds too many {step!r} s steps to count")
         ratio = dt_pred / dt_sim if dt_pred >= dt_sim else dt_sim / dt_pred
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ConfigError(
                 "estimator.prediction_step_s: must be an integer multiple of "
                 f"engine.sim_step_s or vice versa (got {dt_pred} vs {dt_sim})"
@@ -210,10 +185,18 @@ class ScenarioConfig:
                 )
 
 
-# A follower is admitted (follows the consensus law) once it holds a beacon
-# from its current target: ``est.last_target_beacon`` is not None.
 @dataclass
 class _SimVehicle:
+    """Every per-vehicle fact, estimator memory included.
+
+    A follower is admitted (follows the consensus law) once it holds a beacon
+    from its current target: ``last_target_beacon`` is not None. A refresh
+    recomputes from it only if sent after ``refreshed_send_time`` (None: none
+    consumed since the last retarget), else holds ``own_estimate`` if any.
+    ``free_driving`` says ``own_estimate`` is a ``leader_estimate`` horizon,
+    which the next leader refresh may advance.
+    """
+
     vid: VehicleId
     intersection: str
     state: VehicleState
@@ -221,11 +204,13 @@ class _SimVehicle:
     crossed: bool = False
     target: VehicleId | None = None
     gains: ControlGains | None = None
-    est: EstimatorState = field(default_factory=EstimatorState)
+    own_estimate: TrajectoryEstimate | None = None
+    last_target_beacon: Beacon | None = None
     last_arrival: float = -math.inf
+    refreshed_send_time: float | None = None
+    free_driving: bool = False
     pending_cmd: float = 0.0
-    view_position: float | None = None
-    view_speed: float | None = None
+    view: TargetView | None = None
     min_speed: float = math.inf
     retired_at: float | None = None
 
@@ -270,7 +255,7 @@ class SimulationEngine:
         scenario.validate()
         self.scenario = scenario
         self.limits = scenario.limits
-        self.params = scenario.estimator.params(limits=scenario.limits)
+        self.params = dataclasses.replace(scenario.estimator, limits=scenario.limits)
         self.t_gap = scenario.control.time_gap
         self.dt = scenario.engine.sim_step
         channel_model = dataclasses.replace(
@@ -298,10 +283,7 @@ class SimulationEngine:
             )
         )
         self._next_vid = 0
-        if self.params.prediction_step > self.dt:
-            self._boundary_every = round(self.params.prediction_step / self.dt)
-        else:
-            self._boundary_every = 1
+        self._boundary_every = max(1, round(self.params.prediction_step / self.dt))
         # "Communication currently on" is judged on the estimation clock:
         # a link is up while the newest beacon arrived within one estimation
         # tick (never finer than a simulation step, so delay jitter between
@@ -393,10 +375,9 @@ class SimulationEngine:
 
     def _retarget(self, veh: _SimVehicle, target: VehicleId | None, now: float) -> None:
         veh.target = target
-        veh.est.last_target_beacon = None
-        veh.est.link_up = False
-        veh.est.refreshed_send_time = None
-        veh.est.free_driving = False
+        veh.last_target_beacon = None
+        veh.refreshed_send_time = None
+        veh.free_driving = False
         veh.last_arrival = -math.inf
         if target is None:
             veh.gains = None
@@ -449,20 +430,19 @@ class SimulationEngine:
                 veh = self.vehicles[vid]
                 arrivals = self.channel.deliver_to(vid, now)
                 if veh.target is not None and veh.target in arrivals:
-                    veh.est.last_target_beacon = arrivals[veh.target]
+                    veh.last_target_beacon = arrivals[veh.target]
                     veh.last_arrival = now
-                veh.est.link_up = now - veh.last_arrival < self._link_window
                 # An estimate is only consumed by a follower's inbox or by the
                 # vehicle's own chain role; a head with no follower drives free.
-                needs_estimate = follower is not None or veh.est.last_target_beacon is not None
+                needs_estimate = follower is not None or veh.last_target_beacon is not None
                 # First estimate is built immediately so a newly formed chain
                 # does not idle until the next coarse prediction boundary.
-                if needs_estimate and (refresh or veh.est.own_estimate is None):
+                if needs_estimate and (refresh or veh.own_estimate is None):
                     # A batched row is this vehicle's follower_estimate only if
                     # the beacon it just consumed carries the very horizon the
                     # row was computed from; else the rest of the chain
                     # refreshes one by one.
-                    beacon = veh.est.last_target_beacon
+                    beacon = veh.last_target_beacon
                     batched = (
                         next(rows)
                         if rows is not None
@@ -475,11 +455,11 @@ class SimulationEngine:
                         rows = None
                         self._refresh_estimate(veh, now)
                     else:
-                        veh.est.own_estimate = assumed = batched
-                        veh.est.refreshed_send_time = now
-                        veh.est.free_driving = False
-                if follower is not None and veh.est.own_estimate is not None:
-                    beacon = Beacon(vid, now, veh.state, veh.est.own_estimate)
+                        veh.own_estimate = assumed = batched
+                        veh.refreshed_send_time = now
+                        veh.free_driving = False
+                if follower is not None and veh.own_estimate is not None:
+                    beacon = Beacon(vid, now, veh.state, veh.own_estimate)
                     self.channel.send(beacon, follower, now)
                     if batch and vid == order[0]:
                         rows = chain_follower_horizons(
@@ -492,38 +472,35 @@ class SimulationEngine:
                         assumed = beacon.estimate
 
     def _refresh_estimate(self, veh: _SimVehicle, now: float) -> None:
-        st = veh.est
-        previous = st.own_estimate if st.free_driving else None
-        st.free_driving = False
-        beacon = st.last_target_beacon
+        previous = veh.own_estimate if veh.free_driving else None
+        veh.free_driving = False
+        beacon = veh.last_target_beacon
         if beacon is not None and (
-            st.refreshed_send_time is None or beacon.send_time > st.refreshed_send_time
+            veh.refreshed_send_time is None or beacon.send_time > veh.refreshed_send_time
         ):
             assert veh.gains is not None
-            st.own_estimate = follower_estimate(
+            veh.own_estimate = follower_estimate(
                 now, veh.state, beacon, veh.gains, self.t_gap, self.params
             )
-            st.refreshed_send_time = beacon.send_time
-        elif beacon is not None and st.own_estimate is not None:
-            st.own_estimate = shift_held_estimate(now, veh.state, st.own_estimate, self.params)
+            veh.refreshed_send_time = beacon.send_time
+        elif beacon is not None and veh.own_estimate is not None:
+            veh.own_estimate = shift_held_estimate(now, veh.state, veh.own_estimate, self.params)
         else:
-            st.own_estimate = leader_estimate(now, veh.state, self.params, previous)
-            st.free_driving = True
+            veh.own_estimate = leader_estimate(now, veh.state, self.params, previous)
+            veh.free_driving = True
 
     # -- phase 5 -------------------------------------------------------
 
     def _compute_commands(self, step_index: int, now: float) -> None:
         for veh in self.vehicles.values():
-            veh.view_position = None
-            veh.view_speed = None
+            beacon = veh.last_target_beacon
             try:
-                if veh.est.last_target_beacon is not None:
+                if beacon is not None:
                     assert veh.gains is not None
-                    view = target_motion_for_control(veh.est, now, self.t_gap, self.params)
-                    veh.view_position = view.position
-                    veh.view_speed = view.speed
-                    veh.pending_cmd = consensus_accel(veh.state, view, veh.gains)
+                    veh.view = target_motion_for_control(beacon, now, self.t_gap, self.params)
+                    veh.pending_cmd = consensus_accel(veh.state, veh.view, veh.gains)
                 else:
+                    veh.view = None
                     veh.pending_cmd = idm_free_accel(veh.state.speed, self.params)
             except NumericFault as exc:
                 raise NumericFault(
@@ -545,21 +522,21 @@ class SimulationEngine:
                 # On a tie (0.0 against -0.0) the held value stays.
                 if speed < veh.min_speed:
                     veh.min_speed = speed
-            link_up = 1 if veh.est.link_up else 0
-            view_position = veh.view_position
+            link_up = 1 if now - veh.last_arrival < self._link_window else 0
+            view = veh.view
             err = None
-            if view_position is not None and veh.target is not None:
+            if view is not None:
                 target_state = vehicles[veh.target].state
-                err = view_position - target_state.position
+                err = view.position - target_state.position
                 metrics.append(
                     (
                         now,
                         vid,
                         veh.target,
                         err,
-                        veh.view_speed - target_state.speed,
+                        view.speed - target_state.speed,
                         link_up,
-                        1 if veh.est.horizon_exhausted else 0,
+                        1 if view.horizon_exhausted else 0,
                     )
                 )
             if record_rows:
@@ -571,7 +548,7 @@ class SimulationEngine:
                         state.position,
                         speed,
                         state.acceleration,
-                        view_position,
+                        None if view is None else view.position,
                         err,
                         link_up,
                     )
@@ -675,13 +652,17 @@ def sweep_prediction_step(
 
     Returns the comparison table (rows in the given order) and the
     per-step RunResults, keyed by step, so a repeated step is a ConfigError.
-    Every step's scenario is validated before the first run.
+    Every step's scenario is validated before the first run; a rejected step
+    is a ConfigError naming the key and the step.
     """
     scenarios: list[ScenarioConfig] = []
     for i, dt_pred in enumerate(steps):
         if dt_pred in steps[:i]:
             raise ConfigError(f"steps: prediction step {dt_pred} repeated")
-        est = dataclasses.replace(scenario.estimator, prediction_step=dt_pred)
+        try:
+            est = dataclasses.replace(scenario.estimator, prediction_step=dt_pred)
+        except BoundError as exc:
+            raise ConfigError(f"estimator.{exc}") from exc
         scenarios.append(dataclasses.replace(scenario, estimator=est))
         scenarios[-1].validate()
     rows: list[dict] = []

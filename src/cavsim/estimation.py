@@ -12,6 +12,9 @@ held (shifted to the new anchor). The controller's view of the target
 that is under one prediction step old, else the target's broadcast horizon
 read at the current time, with the final speed held past its end.
 
+The file's ``estimator`` section is read as ``EstimatorParams``. The
+functions here keep no state; the engine's vehicle record holds it.
+
 Conventions shared with the plant: forward Euler, positions integrated from
 the pre-update speed, speeds clamped into the actuator envelope
 (unbounded unless limits are given). Clamps are written as ``if x < lo`` /
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import accumulate, chain, repeat
 from typing import Iterator, Sequence
 
@@ -84,53 +87,39 @@ from .types import (
 log = logging.getLogger(__name__)
 
 _NON_FINITE_TARGET = "non-finite sample in the received target horizon"
-_UNBOUNDED = DynamicsLimits(math.inf, math.inf, math.inf)
 
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Horizon geometry and the leader's free-driving model constants.
+    """The file's ``estimator`` section: horizon geometry and the leader's
+    free-driving model constants. ``horizon_len`` is ``horizon_s`` in whole
+    prediction steps, at least one.
 
     ``limits`` is the ego vehicle's own actuator envelope (a vehicle knows
     what its plant can deliver), which keeps estimates aligned with the
-    saturated plant. The default is the unbounded envelope
-    ``DynamicsLimits(inf, inf, inf)``. The bounds declared here are also
-    those of the file's ``estimator`` keys (see ``EstimatorSettings``).
+    saturated plant. It is an init-only argument, not a field, so ``==`` and
+    the ``validate`` dump leave it out; ``dataclasses.replace`` carries it
+    over. The default is the unbounded envelope ``DynamicsLimits(inf, inf,
+    inf)``.
     """
 
     prediction_step: float = field(default=0.1, metadata={"key": "prediction_step_s", "gt": 0})
-    horizon_len: int = field(default=50, metadata={"ge": 1})
-    a_max: float = field(default=0.73, metadata={"gt": 0})
-    sigma: float = field(default=4.0, metadata={"gt": 0})
-    v_target: float = field(default=15.0, metadata={"gt": 0})
-    implicit_solve: bool = False
-    limits: DynamicsLimits = _UNBOUNDED
+    horizon_s: float = field(default=5.0, metadata={"key": "horizon_s", "gt": 0})
+    a_max: float = field(default=0.73, metadata={"key": "a_max", "gt": 0})
+    sigma: float = field(default=4.0, metadata={"key": "sigma", "gt": 0})
+    v_target: float = field(default=15.0, metadata={"key": "v_target", "gt": 0})
+    implicit_solve: bool = field(default=False, metadata={"key": "implicit_solve"})
+    limits: InitVar[DynamicsLimits] = DynamicsLimits(math.inf, math.inf, math.inf)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, limits: DynamicsLimits) -> None:
         check_bounds(self)
-        if not isinstance(self.limits, DynamicsLimits):
+        if not isinstance(limits, DynamicsLimits):
             raise TypeError("limits must be a DynamicsLimits; the default is unbounded")
+        object.__setattr__(self, "limits", limits)
 
-
-@dataclass
-class EstimatorState:
-    """Per-vehicle estimator memory, owned and mutated by the engine.
-
-    ``refreshed_send_time`` is the send time of the beacon consumed by the
-    last own-estimate refresh, or None if none has since the last retarget.
-    ``last_target_beacon`` is fresh when that is None or older than its send
-    time. A refresh recomputes from a fresh beacon only; with a stale one it
-    holds the previous estimate instead of recomputing from stale data.
-    ``free_driving`` says that ``own_estimate`` is a ``leader_estimate``
-    horizon, which the next leader refresh may advance.
-    """
-
-    own_estimate: TrajectoryEstimate | None = None
-    last_target_beacon: Beacon | None = None
-    link_up: bool = False
-    horizon_exhausted: bool = False
-    refreshed_send_time: SimTime | None = None
-    free_driving: bool = False
+    @property
+    def horizon_len(self) -> int:
+        return max(1, round(self.horizon_s / self.prediction_step))
 
 
 def idm_free_accel(v: float, params: EstimatorParams) -> float:
@@ -535,28 +524,27 @@ def shift_held_estimate(
 
 
 def target_motion_for_control(
-    state: EstimatorState,
+    beacon: Beacon | None,
     now: SimTime,
     t_gap: float,
     params: EstimatorParams,
 ) -> TargetView:
-    """Target motion fed to the consensus controller at time ``now``.
+    """Target motion fed to the consensus controller at time ``now``, from
+    the latest beacon received from the target.
 
     One rule on the beacon age ``tau = now - beacon.send_time``. Below one
     prediction step: the beacon's carried ground truth, its position
     advanced at its speed over ``tau``. Otherwise: the target's broadcast
     horizon, interpolated at ``now``. Past the horizon end: final sample
-    speed held, position extrapolated at that speed, and
-    ``state.horizon_exhausted`` set for the metrics recorder.
+    speed held, position extrapolated at that speed, and the view marked
+    ``horizon_exhausted`` for the metrics recorder.
 
-    The rule does not read ``state.link_up``: the engine marks a link down
-    only once its last arrival is more than one prediction step old, so a
-    down link's beacon always reads its horizon.
+    The link state takes no part: the engine marks a link down only once its
+    last arrival is more than one prediction step old, so a down link's
+    beacon always reads its horizon.
     """
-    beacon = state.last_target_beacon
     if beacon is None:
         raise ColdStart("no beacon ever received from target")
-    state.horizon_exhausted = False
     target = beacon.state
     tau = now - beacon.send_time
     if tau < params.prediction_step:
@@ -565,7 +553,7 @@ def target_motion_for_control(
     try:
         v_view, r_view = lerp_trajectory(est, now)
     except HorizonExhausted:
-        state.horizon_exhausted = True
         v_view = est.speed_at(est.horizon_len)
         r_view = est.position_at(est.horizon_len) + v_view * (now - est.end_time)
+        return TargetView(r_view, v_view, target.length, t_gap, True)
     return TargetView(r_view, v_view, target.length, t_gap)

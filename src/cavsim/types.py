@@ -187,12 +187,14 @@ class Beacon(namedtuple("Beacon", ("sender", "send_time", "state", "estimate")))
 
 @dataclass
 class TargetView:
-    """Target-vehicle motion as supplied to the consensus controller."""
+    """Target-vehicle motion as supplied to the consensus controller;
+    ``horizon_exhausted`` if read past the end of the target's horizon."""
 
     position: float
     speed: float
     length: float
     time_gap: float
+    horizon_exhausted: bool = False
 
 
 def _sample_index(est: TrajectoryEstimate, query_time: SimTime) -> tuple[int, float]:

@@ -7,12 +7,8 @@ import dataclasses
 import pytest
 from hypothesis import settings
 
-from cavsim.engine import (
-    ControlConfig,
-    EngineConfig,
-    EstimatorSettings,
-    ScenarioConfig,
-)
+from cavsim.engine import ControlConfig, EngineConfig, ScenarioConfig
+from cavsim.estimation import EstimatorParams
 from cavsim.network import ChannelModel
 from cavsim.scenario import (
     IntersectionSpec,
@@ -53,7 +49,7 @@ def perfect_two_vehicle(
     return ScenarioConfig(
         engine=EngineConfig(sim_step=sim_step, duration=duration, seed=seed),
         channel=PERFECT_CHANNEL,
-        estimator=EstimatorSettings(
+        estimator=EstimatorParams(
             prediction_step=prediction_step, horizon_s=5.0, v_target=15.0
         ),
         control=ControlConfig(),
@@ -117,7 +113,7 @@ def paper_stress(
             nlos_windows=((4.0, 6.0), (6.0, 8.0)),
             impaired_vehicles=(2,),
         ),
-        estimator=EstimatorSettings(
+        estimator=EstimatorParams(
             prediction_step=prediction_step, horizon_s=5.0, v_target=15.0
         ),
         control=ControlConfig(),
@@ -136,7 +132,7 @@ def nominal_twenty(seed: int = 42) -> ScenarioConfig:
     return ScenarioConfig(
         engine=EngineConfig(sim_step=0.1, duration=120.0, seed=seed),
         channel=PERFECT_CHANNEL,
-        estimator=EstimatorSettings(prediction_step=0.1, horizon_s=5.0, v_target=14.0),
+        estimator=EstimatorParams(prediction_step=0.1, horizon_s=5.0, v_target=14.0),
         control=ControlConfig(),
         intersections=(spec,),
         spawns=SpawnPlan(
@@ -172,7 +168,7 @@ def timing_bench(duration: float = 2.0, prediction_step: float = 0.1) -> Scenari
     return ScenarioConfig(
         engine=EngineConfig(sim_step=0.02, duration=duration, seed=3),
         channel=PERFECT_CHANNEL,
-        estimator=EstimatorSettings(
+        estimator=EstimatorParams(
             prediction_step=prediction_step, horizon_s=40.0, v_target=13.5
         ),
         control=ControlConfig(),

@@ -51,7 +51,7 @@ def test_criterion_1_perfect_communication_exactness():
 
         def probe(engine, now):
             captures.append(
-                (now, {vid: (veh.state, veh.est.own_estimate) for vid, veh in engine.vehicles.items()})
+                (now, {vid: (veh.state, veh.own_estimate) for vid, veh in engine.vehicles.items()})
             )
 
         run(scenario, on_step=probe)
@@ -116,16 +116,16 @@ def test_criterion_4_estimate_hold_under_total_loss():
 
     def probe(engine, now):
         veh = engine.vehicles.get(1)
-        if veh is None or veh.est.last_target_beacon is None:
+        if veh is None or veh.last_target_beacon is None:
             return
         trace.append(
             (
                 now,
-                veh.est.link_up,
-                veh.est.horizon_exhausted,
-                veh.view_position,
-                veh.view_speed,
-                veh.est.last_target_beacon.estimate,
+                now - veh.last_arrival < engine._link_window,
+                veh.view.horizon_exhausted,
+                veh.view.position,
+                veh.view.speed,
+                veh.last_target_beacon.estimate,
                 veh.state,
                 veh.pending_cmd,
                 engine.vehicles[0].state.position,
@@ -212,7 +212,7 @@ def test_criterion_6_idm_leader_invariants():
         v_target = float(rng.uniform(2.0, 30.0))
         v_now = float(rng.uniform(0.0, 2.0 * v_target))
         params = EstimatorParams(
-            prediction_step=dt, horizon_len=30, a_max=0.73, sigma=4.0, v_target=v_target
+            prediction_step=dt, horizon_s=30 * dt, a_max=0.73, sigma=4.0, v_target=v_target
         )
         speeds = predict_leader_speed(params, v_now)
         seq = [v_now, *speeds]

@@ -253,6 +253,31 @@ class TestNonFiniteValues:
         assert f"configuration error: {config_path(keys)}: " in err
         assert not (tmp_path / "out").exists()
 
+    # Finite, but counted in steps (or in simulation steps per prediction
+    # step), and the count overflows. The scenario has no random spawns,
+    # which would be drawn over the whole duration.
+    @pytest.mark.parametrize(
+        "keys, rule",
+        [
+            (("engine", "duration_s"), "1e+308 s holds too many 0.1 s steps"),
+            (("estimator", "horizon_s"), "1e+308 s holds too many 0.1 s steps"),
+            (("estimator", "prediction_step_s"), "must be an integer multiple"),
+        ],
+        ids=["engine.duration_s", "estimator.horizon_s", "estimator.prediction_step_s"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_huge_span_exits_2_naming_the_path(self, tmp_path, capsys, keys, rule, command):
+        doc = yaml.safe_load(VALID_CONFIG)
+        doc[keys[0]][keys[1]] = 1.0e308
+        cfg = write_config(tmp_path, yaml.safe_dump(doc))
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {config_path(keys)}: {rule}" in err
+        assert not (tmp_path / "out").exists()
+
     def test_nlos_window_and_gain_entry_paths(self):
         with pytest.raises(ConfigError, match=r"channel\.nlos_windows\[1\]\[0\]"):
             parse_scenario({"channel": {"nlos_windows": [[1.0, 2.0], [math.nan, 5.0]]}})

@@ -18,9 +18,8 @@ import yaml
 from cavsim.cli import main
 from cavsim.config import parse_scenario
 from cavsim.control import ControlGains
-from cavsim.engine import DEFAULT_GAINS, ControlConfig, EstimatorSettings, ScenarioConfig
+from cavsim.engine import DEFAULT_GAINS, ControlConfig, ScenarioConfig
 from cavsim.errors import ConfigError
-from cavsim.estimation import EstimatorParams
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -120,7 +119,7 @@ def test_readme_table_lists_every_key():
 
 # The types that own the bounds of a section's keys where the section's own
 # type does not declare them.
-BOUND_OWNERS = {EstimatorSettings: (EstimatorParams,), ControlConfig: (ControlGains,)}
+BOUND_OWNERS = {ControlConfig: (ControlGains,)}
 
 
 BOUND_SYMBOLS = {"gt": ">", "ge": ">=", "le": "<="}

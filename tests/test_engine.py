@@ -13,12 +13,12 @@ from cavsim.control import GainTable
 from cavsim.engine import (
     ControlConfig,
     EngineConfig,
-    EstimatorSettings,
     ScenarioConfig,
     run,
     sweep_prediction_step,
 )
 from cavsim.errors import ConfigError, NumericFault
+from cavsim.estimation import EstimatorParams
 from cavsim.network import ChannelModel
 from cavsim.scenario import IntersectionSpec, LegSpec, SpawnEvent, SpawnPlan
 
@@ -81,7 +81,7 @@ class TestStepSemantics:
         scenario = ScenarioConfig(
             engine=EngineConfig(sim_step=0.1, duration=25.0, seed=1),
             channel=PERFECT_CHANNEL,
-            estimator=EstimatorSettings(prediction_step=0.1, horizon_s=5.0, v_target=15.0),
+            estimator=EstimatorParams(prediction_step=0.1, horizon_s=5.0, v_target=15.0),
             control=ControlConfig(),
             intersections=(spec,),
             spawns=SpawnPlan(
@@ -106,7 +106,7 @@ class TestStepSemantics:
         scenario = ScenarioConfig(
             engine=EngineConfig(sim_step=0.1, duration=10.0, seed=1),
             channel=PERFECT_CHANNEL,
-            estimator=EstimatorSettings(prediction_step=0.1, horizon_s=5.0, v_target=15.0),
+            estimator=EstimatorParams(prediction_step=0.1, horizon_s=5.0, v_target=15.0),
             control=ControlConfig(),
             intersections=(spec,),
             spawns=SpawnPlan(
@@ -185,7 +185,7 @@ class TestCrossingOrder:
         scenario = ScenarioConfig(
             engine=EngineConfig(sim_step=0.1, duration=2.0, seed=1),
             channel=PERFECT_CHANNEL,
-            estimator=EstimatorSettings(prediction_step=0.1, horizon_s=5.0, v_target=10.0),
+            estimator=EstimatorParams(prediction_step=0.1, horizon_s=5.0, v_target=10.0),
             control=ControlConfig(),
             intersections=(spec,),
             spawns=SpawnPlan(
@@ -216,7 +216,7 @@ class TestCrossingOrder:
         scenario = ScenarioConfig(
             engine=EngineConfig(sim_step=1.0, duration=3.0, seed=1),
             channel=PERFECT_CHANNEL,
-            estimator=EstimatorSettings(prediction_step=1.0, horizon_s=5.0, v_target=20.0),
+            estimator=EstimatorParams(prediction_step=1.0, horizon_s=5.0, v_target=20.0),
             control=ControlConfig(),
             intersections=(spec,),
             spawns=SpawnPlan(
@@ -327,6 +327,11 @@ class TestSweep:
         with pytest.raises(ConfigError, match="prediction step 1.0 repeated"):
             sweep_prediction_step(perfect_two_vehicle(duration=2.0), [1.0, 0.5, 1.0])
         assert runs == []
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+    def test_out_of_bound_step_is_a_config_error_naming_it(self, step):
+        with pytest.raises(ConfigError, match=f"^estimator.prediction_step_s: .*got {step}$"):
+            sweep_prediction_step(perfect_two_vehicle(duration=2.0), [0.1, step])
 
     def test_invalid_later_step_rejected_before_any_run(self, monkeypatch):
         # 0.03 s is no integer multiple or divisor of the 0.1 s simulation step.
@@ -468,7 +473,7 @@ class TestBatchedChainHorizons:
                                   *est.speeds, *est.positions),
                 )
                 for vid, veh in engine.vehicles.items()
-                for est in [veh.est.own_estimate]
+                for est in [veh.own_estimate]
             })
 
         with monkeypatch.context() as m:
@@ -529,7 +534,7 @@ class TestBatchedChainHorizons:
 
         def probe(engine, now):
             captures.append(
-                {vid: (veh.state, veh.est.own_estimate) for vid, veh in engine.vehicles.items()}
+                {vid: (veh.state, veh.own_estimate) for vid, veh in engine.vehicles.items()}
             )
 
         run(_ideal_chain(0.1), on_step=probe)
@@ -550,9 +555,9 @@ class TestBatchedChainHorizons:
 
         def probe(engine, now):
             views.extend(
-                veh.est.own_estimate.speeds
+                veh.own_estimate.speeds
                 for veh in engine.vehicles.values()
-                if isinstance(veh.est.own_estimate.speeds, np.ndarray)
+                if isinstance(veh.own_estimate.speeds, np.ndarray)
             )
 
         result = run(_ideal_chain(0.1), on_step=probe)

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import struct
@@ -14,7 +15,6 @@ from cavsim.engine import SimulationEngine, _SimVehicle
 from cavsim.errors import ColdStart, NumericFault
 from cavsim.estimation import (
     EstimatorParams,
-    EstimatorState,
     chain_follower_horizons,
     follower_estimate,
     idm_free_accel,
@@ -55,10 +55,13 @@ def bits(values):
     return struct.pack(f"<{len(values)}d", *values)
 
 
-def params(**kw):
-    defaults = dict(prediction_step=0.1, horizon_len=50, a_max=0.73, sigma=4.0, v_target=15.0)
+def params(horizon_len=50, **kw):
+    """Estimator params whose horizon is ``horizon_len`` samples."""
+    defaults = dict(prediction_step=0.1, a_max=0.73, sigma=4.0, v_target=15.0)
     defaults.update(kw)
-    return EstimatorParams(**defaults)
+    p = EstimatorParams(horizon_s=horizon_len * defaults["prediction_step"], **defaults)
+    assert p.horizon_len == horizon_len
+    return p
 
 
 def vstate(r=0.0, v=10.0, length=5.0):
@@ -747,15 +750,14 @@ class TestHoldAndShift:
 
 
 class TestTargetMotionForControl:
-    def _linked_state(self, est, send_time, state):
-        beacon = Beacon(sender=0, send_time=send_time, state=state, estimate=est)
-        return EstimatorState(last_target_beacon=beacon, link_up=True)
+    def _beacon(self, est, send_time, state):
+        return Beacon(sender=0, send_time=send_time, state=state, estimate=est)
 
     def test_zero_age_returns_ground_truth(self):
         est = estimate_from([10.0, 10.5], anchor_time=5.0)
         truth = vstate(r=123.0, v=10.0)
-        st_ = self._linked_state(est, 5.0, truth)
-        view = target_motion_for_control(st_, 5.0, 1.5, params())
+        beacon = self._beacon(est, 5.0, truth)
+        view = target_motion_for_control(beacon, 5.0, 1.5, params())
         assert view.position == truth.position
         assert view.speed == truth.speed
         assert view.length == truth.length
@@ -764,41 +766,39 @@ class TestTargetMotionForControl:
         # The engine marks a link down only once its beacon is at least one
         # prediction step old; here it is two.
         est = estimate_from([10.0, 11.0, 12.0], anchor_time=4.8, step=0.1)
-        st_ = self._linked_state(est, 4.8, vstate(r=est.anchor_position, v=est.anchor_speed))
-        st_.link_up = False
-        view = target_motion_for_control(st_, 5.0, 1.5, params())
+        beacon = self._beacon(est, 4.8, vstate(r=est.anchor_position, v=est.anchor_speed))
+        view = target_motion_for_control(beacon, 5.0, 1.5, params())
         speed, position = lerp_trajectory(est, 5.0)
         assert view.speed == speed
         assert view.position == position
 
     def test_horizon_exhausted_holds_final_speed(self):
         est = estimate_from([10.0, 11.0], anchor_time=4.9, step=0.1)
-        st_ = self._linked_state(est, 4.9, vstate())
-        st_.link_up = False
-        view = target_motion_for_control(st_, 6.0, 1.5, params())
-        assert st_.horizon_exhausted
+        beacon = self._beacon(est, 4.9, vstate())
+        view = target_motion_for_control(beacon, 6.0, 1.5, params())
+        assert view.horizon_exhausted
         assert view.speed == 11.0
         overshoot = 6.0 - est.end_time
         assert view.position == pytest.approx(est.positions[-1] + 11.0 * overshoot)
 
     def test_cold_start_raises(self):
         with pytest.raises(ColdStart):
-            target_motion_for_control(EstimatorState(), 0.0, 1.5, params())
+            target_motion_for_control(None, 0.0, 1.5, params())
 
     def test_aged_link_reads_horizon(self):
         # beacon age of two prediction steps on a ramping profile, link up
         est = estimate_from([10.1, 10.2, 10.3, 10.4], anchor_time=5.0, anchor_speed=10.0)
         truth = vstate(r=est.anchor_position, v=10.0)
-        st_ = self._linked_state(est, 5.0, truth)
-        view = target_motion_for_control(st_, 5.2, 1.5, params())
+        beacon = self._beacon(est, 5.0, truth)
+        view = target_motion_for_control(beacon, 5.2, 1.5, params())
         assert (view.speed, view.position) == lerp_trajectory(est, 5.2)
-        assert not st_.horizon_exhausted
+        assert not view.horizon_exhausted
 
     def test_age_just_under_one_step_gives_the_truth(self):
         est = estimate_from([10.1, 10.2, 10.3, 10.4], anchor_time=5.0, anchor_speed=10.0)
         truth = vstate(r=7.0, v=10.0)
-        st_ = self._linked_state(est, 5.0, truth)
-        view = target_motion_for_control(st_, 5.0999, 1.5, params())
+        beacon = self._beacon(est, 5.0, truth)
+        view = target_motion_for_control(beacon, 5.0999, 1.5, params())
         assert view.speed == truth.speed
         assert view.position == truth.position + truth.speed * (5.0999 - 5.0)
 
@@ -807,21 +807,21 @@ class TestUpdateEstimates:
     """The engine's per-vehicle estimate refresh, the simulator's one chain pass."""
 
     @staticmethod
-    def _vehicle(vid, state, target=None, **est):
+    def _vehicle(vid, state, target=None, **memory):
         return _SimVehicle(
             vid=vid,
             intersection="x",
             state=state,
             target=target,
             gains=GAINS if target is not None else None,
-            est=EstimatorState(**est),
+            **memory,
         )
 
     def test_leader_at_target_speed_extrapolates_constantly(self):
         engine = SimulationEngine(perfect_two_vehicle())
         leader = self._vehicle(0, vstate(r=0.0, v=15.0))
         engine._refresh_estimate(leader, 0.0)
-        out = leader.est.own_estimate
+        out = leader.own_estimate
         assert out.horizon_len == engine.params.horizon_len
         assert all(abs(v - 15.0) < 1e-12 for v in out.speeds)
 
@@ -835,7 +835,7 @@ class TestUpdateEstimates:
             own_estimate=prev, last_target_beacon=beacon, refreshed_send_time=0.0,
         )
         engine._refresh_estimate(follower, 0.1)
-        out = follower.est.own_estimate
+        out = follower.own_estimate
         assert out.anchor_time == pytest.approx(0.1)
         assert out.speeds == (9.5, 10.0)
 
@@ -846,10 +846,10 @@ class TestUpdateEstimates:
         consumed = Beacon(sender=0, send_time=0.0, state=vstate(r=30.0), estimate=expected)
         # Not yet admitted (no beacon), and admitted with its one beacon
         # already consumed but no own estimate to hold.
-        for est in ({}, {"last_target_beacon": consumed, "refreshed_send_time": 0.0}):
-            follower = self._vehicle(1, truth, target=0, **est)
+        for memory in ({}, {"last_target_beacon": consumed, "refreshed_send_time": 0.0}):
+            follower = self._vehicle(1, truth, target=0, **memory)
             engine._refresh_estimate(follower, 0.0)
-            assert follower.est.own_estimate.speeds == expected.speeds
+            assert follower.own_estimate.speeds == expected.speeds
 
     def test_linked_follower_consumes_beacon(self):
         engine = SimulationEngine(perfect_two_vehicle())
@@ -858,15 +858,15 @@ class TestUpdateEstimates:
         beacon = Beacon(sender=0, send_time=0.0, state=leader_truth, estimate=lead_est)
         truth = vstate(r=5.0, v=10.0)
         follower = self._vehicle(
-            1, truth, target=0, last_target_beacon=beacon, link_up=True
+            1, truth, target=0, last_target_beacon=beacon, last_arrival=0.0
         )
         engine._refresh_estimate(follower, 0.0)
         expected = follower_estimate(0.0, truth, beacon, GAINS, engine.t_gap, engine.params)
-        assert follower.est.own_estimate.speeds == expected.speeds
-        assert follower.est.refreshed_send_time == 0.0
+        assert follower.own_estimate.speeds == expected.speeds
+        assert follower.refreshed_send_time == 0.0
         # No newer beacon: the next refresh holds the consumed one's horizon.
         engine._refresh_estimate(follower, 0.1)
-        assert follower.est.own_estimate.speeds == expected.speeds[1:]
+        assert follower.own_estimate.speeds == expected.speeds[1:]
 
 
 def test_idm_free_accel_signs():
@@ -880,7 +880,7 @@ def test_estimator_params_validation():
     with pytest.raises(ValueError):
         EstimatorParams(prediction_step=0.0)
     with pytest.raises(ValueError):
-        EstimatorParams(horizon_len=0)
+        EstimatorParams(horizon_s=0.0)
     with pytest.raises(ValueError):
         EstimatorParams(v_target=-1.0)
 
@@ -889,6 +889,13 @@ def test_estimator_params_default_to_the_unbounded_envelope():
     assert EstimatorParams().limits == UNBOUNDED
     with pytest.raises(TypeError, match="limits must be a DynamicsLimits"):
         EstimatorParams(limits=None)
+
+
+def test_estimator_params_limits_is_no_field_and_replace_carries_it():
+    p = EstimatorParams(limits=TIGHT_LIMITS)
+    assert p == EstimatorParams()
+    assert "limits" not in dataclasses.asdict(p)
+    assert dataclasses.replace(p, a_max=0.5).limits == TIGHT_LIMITS
 
 
 def test_leader_estimate_anchors_at_ground_truth():

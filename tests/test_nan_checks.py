@@ -23,7 +23,7 @@ NAN = math.nan
 
 
 @pytest.mark.parametrize(
-    "field", ["prediction_step", "horizon_len", "a_max", "sigma", "v_target"]
+    "field", ["prediction_step", "horizon_s", "a_max", "sigma", "v_target"]
 )
 def test_estimator_params_reject_nan(field):
     with pytest.raises(ValueError, match=f"{field}.* must be .*nan"):

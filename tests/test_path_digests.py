@@ -114,7 +114,7 @@ def run_digests(scenario, tmp_path, watch=None):
         if watch is not None:
             watch(engine, now)
         for vid, veh in engine.vehicles.items():
-            est = veh.est.own_estimate
+            est = veh.own_estimate
             if est is None:
                 continue
             head = (now, vid, est.anchor_time, est.anchor_speed, est.anchor_position)
