@@ -5,12 +5,14 @@ Each vehicle predicts its own motion over a horizon of N samples spaced
 forward-Euler recursion per vehicle role. A chain leader predicts free
 driving toward a preset target speed (``_leader_horizon``); a follower
 propagates the consensus law along the horizon using its target's latest
-broadcast, compensated for the age of the received horizon
-(``follower_estimate``). When no beacon arrives, the previous estimate is
-held (shifted to the new anchor). The controller's view of the target
-(``target_motion_for_control``) is its latest beacon's ground truth while
-that is under one prediction step old, else the target's broadcast horizon
-read at the current time, with the final speed held past its end.
+broadcast (``follower_estimate``). When no beacon arrives, the previous
+estimate is held (shifted to the new anchor). A broadcast horizon is read
+by one rule: at the time it is needed, interpolated between samples, with
+the final speed held and the position dead-reckoned at it past the end.
+The controller's view of the target (``target_motion_for_control``) reads
+it at the current time once the latest beacon is a prediction step old
+(its ground truth before that); a follower's transition k reads it at the
+time the transition steps from, which compensates the horizon's age.
 
 The file's ``estimator`` section is read as ``EstimatorParams``. The
 functions here keep no state; the engine's vehicle record holds it.
@@ -36,8 +38,8 @@ speed clamp as a masked copy that keeps -0.0 as the branch does, so each
 horizon is byte-identical to ``follower_estimate``'s. The engine decides
 when to use it (see ``engine.CHAIN_BATCH_MIN``).
 
-Delay compensation is written once, inside ``follower_estimate``'s loop;
-the chain kernel needs none.
+Delay compensation is written once, in ``follower_estimate``, as the
+targets read before its loop; the chain kernel needs none.
 
 A free-driving refresh usually finds the vehicle exactly (the same bits)
 at the first sample of its previous horizon: with the simulation step equal
@@ -54,11 +56,9 @@ allocated for a wide chain). Readers go through
 or turn a view into Python floats first, as ``follower_estimate`` and the
 held shift do, so no numpy scalar reaches an output row.
 
-The scalar per-sample forms of delay compensation and the follower
-transition, the vector form of delay compensation, and the follower loop
-over its numpy-compensated targets live in the test suite as the reference
-oracle; tests pin the recursions here, the batched one included, to them
-bit for bit.
+The scalar per-sample forms of the compensated read and the follower
+transition live in the test suite as the reference oracle; tests pin the
+recursions here, the batched one included, to them bit for bit.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import InitVar, dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -82,6 +82,7 @@ from .types import (
     VehicleState,
     check_bounds,
     lerp_trajectory,
+    snap_to_grid,
 )
 
 log = logging.getLogger(__name__)
@@ -219,29 +220,27 @@ def follower_estimate(
     fixed-point form (next speed on both sides, follower position advanced)
     in closed form; it is config-gated for comparison and off by default.
 
-    The compensated delay is the age of the received horizon itself,
-    ``now - estimate.anchor_time``: with per-step refresh that equals the
-    beacon age, while with coarse prediction steps it additionally covers
-    the sender's anchor being older than the beacon. Each transition
-    compensates the target sample it consumes inside the loop: transition k
-    consumes sample k-1, whose speed is held as it is below one prediction
-    step and above it extrapolated by (tau/dt) per-step speed deltas
-    (first-order hold) and clamped at zero; its position is advanced by the
-    compensated speed times tau. Past the end of a shorter received horizon
-    the final sample is held and dead-reckoned forward.
+    Delay compensation is the view's rule (``target_motion_for_control``):
+    transition k, which steps from ``now + (k-1)*dt``, reads the received
+    horizon at that time, that is at index ``k-1+c`` with ``c = (now -
+    anchor_time)/dt`` snapped onto the sample grid by ``snap_to_grid``.
+    The age is that of the received horizon itself: with per-step refresh
+    it equals the beacon age, while with coarse prediction steps it also
+    covers the sender's anchor being older than the beacon. Between samples
+    the read interpolates linearly; past the end of the received horizon it
+    holds the final speed and dead-reckons the position at that speed. At
+    age 0 transition k reads sample k-1 as it is.
 
-    A non-finite received sample raises NumericFault. It makes every later
-    sample non-finite unless a clamp absorbs it, so each clamp branch checks
-    the compensated target position (non-finite whenever the compensated
-    speed is), the zero clamp of an extrapolated speed rejects -inf, and the
-    final check covers the rest.
+    A non-finite sample that is read raises NumericFault. It makes every
+    later sample non-finite unless a clamp absorbs it, so each clamp branch
+    checks the target speed and position it read, and the final check
+    covers the rest.
 
     Engine-internal: ``ControlConfig`` owns ``t_gap > 0``, and the channel
     delivers a beacon no earlier than its send time, so neither is
     re-checked here.
     """
     target = beacon.estimate
-    tau = now - target.anchor_time
     dt = params.prediction_step
     n = params.horizon_len
     t_speeds = target.speeds
@@ -251,27 +250,24 @@ def follower_estimate(
         t_speeds = t_speeds.tolist()
         t_positions = t_positions.tolist()
     n_t = len(t_speeds)
-    # Transition k reads the received horizon's sample k-1 (bases, starts;
-    # the anchor is sample 0) and sample k (nexts), and advances the start
-    # by the compensated speed times its age.
-    bases = (target.anchor_speed, *t_speeds)
-    starts = (target.anchor_position, *t_positions)
-    nexts = t_speeds
-    ages = repeat(tau, n)
-    if n > n_t:
-        v_last = bases[n_t]
-        # max() would turn a NaN final speed into 0 m/s.
-        if not math.isfinite(v_last):
-            raise NumericFault("non-finite final sample in the received target horizon")
-        # Past the end the base and the next sample are both v_pad, so the
-        # extrapolation adds c * 0.0 and holds it (c = tau/dt is finite).
-        v_pad = max(0.0, v_last)
-        bases = chain(bases[:n_t], repeat(v_pad))
-        nexts = chain(nexts, repeat(v_pad))
-        starts = chain(starts, repeat(starts[n_t]))
-        ages = chain(repeat(tau, n_t), [j * dt + tau for j in range(n - n_t)])
-    hold = tau < dt
-    c = tau / dt
+    # Sample j of the received horizon; the anchor is sample 0.
+    t_speeds = [target.anchor_speed, *t_speeds]
+    t_positions = [target.anchor_position, *t_positions]
+    c = snap_to_grid((now - target.anchor_time) / dt)
+    i = math.floor(c)
+    w = c - i
+    # Transitions 1..m read inside the received horizon, from index i on.
+    m = max(0, min(n, n_t - i + (w == 0.0)))
+    v_targets = t_speeds[i : i + m]
+    r_targets = t_positions[i : i + m]
+    if w:
+        v_targets = [a + w * (b - a) for a, b in zip(v_targets, t_speeds[i + 1 : i + 1 + m])]
+        r_targets = [a + w * (b - a) for a, b in zip(r_targets, t_positions[i + 1 : i + 1 + m])]
+    if m < n:
+        v_last = t_speeds[n_t]
+        r_last = t_positions[n_t]
+        v_targets += [v_last] * (n - m)
+        r_targets += [r_last + v_last * ((k + c - n_t) * dt) for k in range(m, n)]
     l_target = beacon.state.length
     k_gain = gains.k
     gamma = gains.gamma
@@ -287,17 +283,7 @@ def follower_estimate(
     positions: list[float] = []
     v = own.speed
     r = own.position
-    for b, b_next, start, age in zip(bases, nexts, starts, ages):
-        if hold:
-            v_t = b
-        else:
-            v_t = b + c * (b_next - b)
-            # np.maximum's result: -0.0 and below become 0.0, NaN stays.
-            if v_t <= 0.0:
-                if v_t == -math.inf:
-                    raise NumericFault(_NON_FINITE_TARGET)
-                v_t = 0.0
-        r_t = start + v_t * age
+    for v_t, r_t in zip(v_targets, r_targets):
         if implicit:
             numer = v - a * (r + v * dt - r_t + l_target - gamma * v_t)
             accel = (numer / denom - v) / dt
@@ -305,21 +291,21 @@ def follower_estimate(
             spacing = r - r_t + l_target + v * t_gap
             accel = neg_gain * (spacing + gamma * (v - v_t))
         if accel < neg_decel:
-            if not isfinite(r_t):
+            if not (isfinite(v_t) and isfinite(r_t)):
                 raise NumericFault(_NON_FINITE_TARGET)
             accel = neg_decel
         elif accel > accel_max:
-            if not isfinite(r_t):
+            if not (isfinite(v_t) and isfinite(r_t)):
                 raise NumericFault(_NON_FINITE_TARGET)
             accel = accel_max
         r = r + v * dt
         v = v + accel * dt
         if v < 0.0:
-            if not isfinite(r_t):
+            if not (isfinite(v_t) and isfinite(r_t)):
                 raise NumericFault(_NON_FINITE_TARGET)
             v = 0.0
         elif v > speed_max:
-            if not isfinite(r_t):
+            if not (isfinite(v_t) and isfinite(r_t)):
                 raise NumericFault(_NON_FINITE_TARGET)
             v = speed_max
         speeds.append(v)

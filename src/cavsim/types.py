@@ -197,17 +197,24 @@ class TargetView:
     horizon_exhausted: bool = False
 
 
+def snap_to_grid(x: float) -> float:
+    """A fractional sample index, snapped onto the nearest whole sample
+    when within one part in 1e9 of it, so a time that is a whole number of
+    steps past the anchor in exact arithmetic reads that sample."""
+    nearest = round(x)
+    if math.isclose(x, nearest, rel_tol=_GRID_RTOL, abs_tol=_GRID_RTOL):
+        return float(nearest)
+    return x
+
+
 def _sample_index(est: TrajectoryEstimate, query_time: SimTime) -> tuple[int, float]:
     """Locate ``query_time`` on the horizon grid.
 
     Returns (k, w): the enclosing upper sample index k in 1..N and the
     interpolation weight w in (0, 1], with w == 1.0 meaning an exact hit
-    on sample k. Queries within one part in 1e9 of a sample snap onto it.
+    on sample k. Queries are snapped onto the grid by ``snap_to_grid``.
     """
-    x = (query_time - est.anchor_time) / est.step
-    nearest = round(x)
-    if math.isclose(x, nearest, rel_tol=_GRID_RTOL, abs_tol=_GRID_RTOL):
-        x = float(nearest)
+    x = snap_to_grid((query_time - est.anchor_time) / est.step)
     if x <= 0.0:
         raise ValueError(
             f"query {query_time} not after anchor {est.anchor_time}"

@@ -1,28 +1,21 @@
 """Reference forms of the estimator's operations.
 
 ``cavsim.estimation`` computes whole horizons in one loop per vehicle role.
-Most functions here state one transition at a time, in the operation order
-of the published recursion. ``_compensated_target_arrays`` is delay
-compensation in vector form, a whole received horizon compensated up front
-in numpy, and ``array_compensated_follower`` is the follower loop over its
-result; ``cavsim.estimation`` compensates inside ``follower_estimate``'s
-loop only, since the chain kernel reads age-0 horizons as they are. The
-tests compare the fast loops against these forms bit for bit.
+The functions here state one transition at a time, in the operation order
+of the published recursion: ``compensate_delay`` is the read of the
+received horizon that one transition consumes, and ``follower_speeds``
+composes a follower's horizon from it. The tests compare the fast loops
+against these forms bit for bit.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-
-import numpy as np
 
 from cavsim.control import ControlGains
 from cavsim.errors import NumericFault
-from cavsim.estimation import _NON_FINITE_TARGET, EstimatorParams
-from cavsim.types import Beacon, TrajectoryEstimate, VehicleState
-
-log = logging.getLogger(__name__)
+from cavsim.estimation import EstimatorParams
+from cavsim.types import TrajectoryEstimate, snap_to_grid
 
 
 def consensus_accel_raw(
@@ -67,42 +60,36 @@ def compensate_delay(
 ) -> tuple[float, float]:
     """Delay-compensated target speed and position for horizon transition k.
 
-    The transition from sample k-1 to k consumes the target's sample k-1,
-    so the lookup baselines there. For tau below one prediction step the
-    stale speed is held unchanged; for larger tau it is extrapolated forward
-    by (tau/dt) per-step speed deltas (first-order hold) and clamped at
-    zero, as ``cavsim.estimation.follower_estimate`` does. The position is
-    the previous sample advanced by the compensated speed over the delay:
+    The transition from sample k-1 to k steps from ``tau + (k-1)*dt`` past
+    the received horizon's anchor, and reads the horizon there: at index
+    ``x = k-1+c``, with ``c = tau/dt`` snapped onto the sample grid. A whole
+    index reads that sample; between samples j and j+1 the read is
 
-        r_adj = r[k-1] + v_adj * tau
+        v = S[j] + w * (S[j+1] - S[j]),  r = P[j] + w * (P[j+1] - P[j])
 
-    A delay exceeding k prediction steps means even the anchor predates the
-    requested time; the extrapolation still runs but is logged.
+    with ``w = c - floor(c)``; past the last sample N it holds the final
+    speed and dead-reckons the position at it:
+
+        v = S[N],  r = P[N] + S[N] * ((x - N) * dt)
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    if not 1 <= k <= target_est.horizon_len:
-        raise ValueError(f"horizon index {k} outside 1..{target_est.horizon_len}")
-    dt = target_est.step
-    base = k - 1
-    if tau < dt:
-        v_adj = target_est.speed_at(base)
-    else:
-        if tau > k * dt:
-            log.debug(
-                "delay %.4f s predates the estimate anchor at horizon index %d; "
-                "extrapolating from the oldest usable sample",
-                tau,
-                k,
-            )
-        delta = target_est.speed_at(base + 1) - target_est.speed_at(base)
-        v_adj = target_est.speed_at(base) + (tau / dt) * delta
-        # max() would turn NaN and -inf into 0 m/s.
-        if not math.isfinite(v_adj):
-            raise NumericFault(f"non-finite compensated target speed {v_adj}")
-        v_adj = max(0.0, v_adj)
-    r_adj = target_est.position_at(k - 1) + v_adj * tau
-    return v_adj, r_adj
+    if k < 1:
+        raise ValueError(f"horizon index {k} below 1")
+    dt = params.prediction_step
+    n_t = target_est.horizon_len
+    c = snap_to_grid(tau / dt)
+    i = math.floor(c)
+    w = c - i
+    j = k - 1 + i
+    if j + (w > 0.0) > n_t:
+        v_last = target_est.speed_at(n_t)
+        return v_last, target_est.position_at(n_t) + v_last * ((k - 1 + c - n_t) * dt)
+    if w == 0.0:
+        return target_est.speed_at(j), target_est.position_at(j)
+    v0, v1 = target_est.speed_at(j), target_est.speed_at(j + 1)
+    r0, r1 = target_est.position_at(j), target_est.position_at(j + 1)
+    return v0 + w * (v1 - v0), r0 + w * (r1 - r0)
 
 
 def predict_follower_speed(
@@ -171,127 +158,17 @@ def follower_speeds(
     t_gap: float,
     params: EstimatorParams,
 ) -> list[float]:
-    """A follower's speed horizon composed sample by sample.
-
-    Past the end of the target's horizon its final sample is held and
-    dead-reckoned forward; a non-finite final sample raises NumericFault.
-    """
+    """A follower's speed horizon composed sample by sample from
+    ``compensate_delay`` and ``predict_follower_speed``; a non-finite
+    target sample that is read raises NumericFault."""
     dt = params.prediction_step
-    n_t = target_est.horizon_len
     v = own_speed
     r = own_position
     speeds = []
     for k in range(1, params.horizon_len + 1):
-        if k <= n_t:
-            v_adj, r_adj = compensate_delay(target_est, k, tau, params)
-        else:
-            v_last = target_est.speed_at(n_t)
-            if not math.isfinite(v_last):
-                raise NumericFault(f"non-finite final target sample {v_last}")
-            v_adj = max(0.0, v_last)
-            r_adj = target_est.position_at(n_t) + v_adj * ((k - 1 - n_t) * dt + tau)
+        v_adj, r_adj = compensate_delay(target_est, k, tau, params)
         v_next = predict_follower_speed(v, r, v_adj, r_adj, gains, l_target, t_gap, params)
         r = r + v * dt
         v = v_next
         speeds.append(v_next)
     return speeds
-
-
-def _compensated_target_arrays(
-    target_est: TrajectoryEstimate,
-    tau: float,
-    horizon_len: int,
-    dt: float,
-) -> tuple[list[float], list[float]]:
-    """Delay-compensated target speed and position for every transition.
-
-    Transition k (1..horizon_len) consumes the target's sample k-1. For a
-    delay below one prediction step that speed is held; for a longer delay
-    it is extrapolated forward by (tau/dt) per-step speed deltas
-    (first-order hold) and clamped at zero. The position is the sample k-1
-    position advanced by the compensated speed over the delay. When the
-    received horizon is shorter than ours, its final sample is held and
-    dead-reckoned forward. A non-finite final sample or result raises
-    NumericFault.
-    """
-    n_t = target_est.horizon_len
-    samples = np.empty(n_t + 1)
-    samples[0] = target_est.anchor_speed
-    samples[1:] = target_est.speeds
-    pos = np.empty(n_t + 1)
-    pos[0] = target_est.anchor_position
-    pos[1:] = target_est.positions
-    n = min(horizon_len, n_t)
-    base_v = samples[:n]
-    if tau < dt:
-        v_adj = base_v.copy()
-    else:
-        v_adj = base_v + (tau / dt) * (samples[1 : n + 1] - base_v)
-        # The clamp would turn -inf into 0 m/s.
-        if (v_adj == -math.inf).any():
-            raise NumericFault(_NON_FINITE_TARGET)
-        np.maximum(v_adj, 0.0, out=v_adj)
-    r_adj = pos[:n] + v_adj * tau
-    if horizon_len > n_t:
-        v_last = samples[n_t]
-        # max() would turn a NaN final speed into 0 m/s.
-        if not math.isfinite(v_last):
-            raise NumericFault("non-finite final sample in the received target horizon")
-        r_last = pos[n_t]
-        ks = np.arange(n_t + 1, horizon_len + 1, dtype=float)
-        v_pad = np.full(horizon_len - n_t, max(0.0, v_last))
-        r_pad = r_last + v_pad * ((ks - 1 - n_t) * dt + tau)
-        v_adj = np.concatenate([v_adj, v_pad])
-        r_adj = np.concatenate([r_adj, r_pad])
-    # Every speed enters a position, so a finite r_adj implies a finite v_adj.
-    if not np.isfinite(r_adj).all():
-        raise NumericFault(_NON_FINITE_TARGET)
-    return v_adj.tolist(), r_adj.tolist()
-
-
-def array_compensated_follower(
-    now: float,
-    own: VehicleState,
-    beacon: Beacon,
-    gains: ControlGains,
-    t_gap: float,
-    params: EstimatorParams,
-) -> tuple[list[float], list[float]]:
-    """A follower's speeds and positions, with every transition's
-    compensated target sample computed first, in numpy, by
-    ``_compensated_target_arrays``."""
-    dt = params.prediction_step
-    v_adj, r_adj = _compensated_target_arrays(
-        beacon.estimate, now - beacon.estimate.anchor_time, params.horizon_len, dt
-    )
-    l_target = beacon.state.length
-    a = gains.alpha * gains.k * dt
-    denom = 1.0 + a * (t_gap + gains.gamma)
-    neg_gain = -gains.alpha * gains.k
-    limits = params.limits
-    speeds = []
-    positions = []
-    v = own.speed
-    r = own.position
-    for v_t, r_t in zip(v_adj, r_adj):
-        if params.implicit_solve:
-            numer = v - a * (r + v * dt - r_t + l_target - gains.gamma * v_t)
-            accel = (numer / denom - v) / dt
-        else:
-            spacing = r - r_t + l_target + v * t_gap
-            accel = neg_gain * (spacing + gains.gamma * (v - v_t))
-        if accel < -limits.decel_max:
-            accel = -limits.decel_max
-        elif accel > limits.accel_max:
-            accel = limits.accel_max
-        r = r + v * dt
-        v = v + accel * dt
-        if v < 0.0:
-            v = 0.0
-        elif v > limits.speed_max:
-            v = limits.speed_max
-        speeds.append(v)
-        positions.append(r)
-    if not (math.isfinite(v) and math.isfinite(r)):
-        raise NumericFault("follower horizon prediction diverged to non-finite")
-    return speeds, positions

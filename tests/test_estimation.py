@@ -28,7 +28,6 @@ from cavsim.types import Beacon, TargetView, TrajectoryEstimate, VehicleState, l
 
 from conftest import perfect_two_vehicle
 from estimation_oracle import (
-    array_compensated_follower,
     compensate_delay,
     follower_speeds,
     predict_follower_speed,
@@ -207,18 +206,19 @@ class TestIntegratePosition:
 
 
 class TestCompensateDelay:
-    def test_short_delay_holds_speed(self):
+    def test_short_delay_interpolates_speed(self):
+        # c = 0.2: transition 2 reads 20 % of the way from sample 1 to 2.
         est = estimate_from([10.0, 10.5, 11.0], anchor_speed=9.5)
         v_adj, _ = compensate_delay(est, 2, 0.02, params())
-        assert v_adj == 10.0  # sample k-1 held unchanged
-
-    def test_long_delay_extrapolates(self):
-        # per-step delta 0.05; sample at k-1 is 10.0
-        est = estimate_from([10.0, 10.05, 10.1], anchor_speed=9.95)
-        v_adj, _ = compensate_delay(est, 2, 0.2, params())
         assert v_adj == pytest.approx(10.1, abs=1e-12)
 
-    def test_position_adjustment(self):
+    def test_whole_step_delay_reads_a_later_sample(self):
+        # Two steps of delay shift transition 2's read from sample 1 to 3.
+        est = estimate_from([10.0, 10.05, 10.1], anchor_speed=9.95)
+        v_adj, _ = compensate_delay(est, 2, 0.2, params())
+        assert v_adj == est.speeds[2]
+
+    def test_position_is_read_from_the_horizon(self):
         est = estimate_from([10.0, 10.05, 10.1], anchor_speed=9.95, anchor_position=49.0)
         est = TrajectoryEstimate(
             anchor_time=est.anchor_time, step=est.step,
@@ -226,8 +226,9 @@ class TestCompensateDelay:
             speeds=est.speeds, positions=(50.0, 51.0, 52.0),
         )
         v_adj, r_adj = compensate_delay(est, 2, 0.2, params())
-        assert r_adj == pytest.approx(50.0 + v_adj * 0.2, abs=1e-12)
-        assert r_adj == pytest.approx(52.02, abs=1e-12)
+        assert (v_adj, r_adj) == (10.1, 52.0)
+        _, r_half = compensate_delay(est, 2, 0.15, params())
+        assert r_half == pytest.approx(51.5, abs=1e-12)
 
     def test_zero_delay_returns_previous_sample_pair(self):
         est = estimate_from([10.0, 11.0], anchor_speed=9.0, anchor_position=100.0)
@@ -235,17 +236,42 @@ class TestCompensateDelay:
         assert v_adj == 9.0
         assert r_adj == 100.0
 
-    def test_index_bounds(self):
+    def test_index_and_delay_bounds(self):
         est = estimate_from([10.0, 11.0])
         with pytest.raises(ValueError):
             compensate_delay(est, 0, 0.0, params())
         with pytest.raises(ValueError):
-            compensate_delay(est, 3, 0.0, params())
+            compensate_delay(est, 1, -0.1, params())
 
-    def test_negative_speed_clamped(self):
-        est = estimate_from([1.0, 0.0, 0.0], anchor_speed=2.0)
-        v_adj, _ = compensate_delay(est, 2, 0.5, params())
-        assert v_adj >= 0.0
+    def test_past_the_end_holds_final_speed(self):
+        # Transition 3 at one step of delay reads index 3 of a 2-sample
+        # horizon: one step past its end.
+        est = estimate_from([10.0, 11.0], anchor_speed=9.0, anchor_position=100.0)
+        v_adj, r_adj = compensate_delay(est, 3, 0.1, params())
+        assert v_adj == 11.0
+        assert r_adj == pytest.approx(est.positions[-1] + 11.0 * 0.1, abs=1e-12)
+
+    @given(
+        tau=st.one_of(st.sampled_from([0.0, 0.1, 0.3]), st.floats(0.0, 2.0)),
+        k=st.integers(1, 30),
+    )
+    @settings(max_examples=100)
+    def test_reads_where_the_view_reads(self, tau, k):
+        # One rule for reading a broadcast horizon: the read of transition k
+        # equals the horizon read at the time the transition steps from, and
+        # past the end the view's final-speed hold.
+        est = estimate_from([10.0 + 0.3 * j for j in range(12)], anchor_time=1.0,
+                            anchor_speed=9.8, anchor_position=40.0)
+        query = est.anchor_time + tau + (k - 1) * est.step
+        v_adj, r_adj = compensate_delay(est, k, tau, params())
+        if query == est.anchor_time:
+            expected = (est.anchor_speed, est.anchor_position)
+        elif query > est.end_time + 1e-9:
+            v_end = est.speeds[-1]
+            expected = (v_end, est.positions[-1] + v_end * (query - est.end_time))
+        else:
+            expected = lerp_trajectory(est, query)
+        assert (v_adj, r_adj) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 class TestPredictFollowerSpeed:
@@ -317,10 +343,9 @@ def read_only(values):
 def received_case(draw):
     """A received target horizon, its age, and a follower behind it.
 
-    Samples jump by up to 20 m/s, so an extrapolated speed often lands
-    below zero, and they include both zeros and, rarely, negative speeds;
-    the received horizon may be shorter than the follower's (padded tail)
-    and may be view-backed.
+    Samples jump by up to 20 m/s and include both zeros and, rarely,
+    negative speeds; the received horizon may be shorter than the
+    follower's, so the read runs past its end, and may be view-backed.
     """
     n_target = draw(st.integers(1, 12))
     n_own = draw(st.integers(1, 16))
@@ -336,7 +361,8 @@ def received_case(draw):
             anchor_position=est.anchor_position, speeds=read_only(est.speeds),
             positions=read_only(est.positions),
         )
-    # Held (below one 0.1 s step, exactly zero included) and extrapolated.
+    # Whole steps (exactly zero included), which read samples as they are,
+    # and fractions of a step, which interpolate.
     tau = draw(st.one_of(st.sampled_from([0.0, 0.03, 0.1, 0.25, 1.3]), st.floats(0.0, 2.0)))
     gap = draw(st.one_of(st.just(0.0), st.floats(-2.0, 40.0)))
     own = vstate(r=target_r - 5.0 - gap, v=draw(SPEEDS))
@@ -349,9 +375,8 @@ def received_case(draw):
 
 
 class TestFollowerEstimateEquivalence:
-    """``follower_estimate`` compensates each target sample inside its own
-    loop; its horizons equal the loop over numpy-compensated targets and
-    the per-sample oracle's, bit for bit."""
+    """``follower_estimate`` reads every transition's target before its
+    loop; its horizons equal the per-sample oracle's, bit for bit."""
 
     @LIMIT_CASES
     @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
@@ -364,9 +389,6 @@ class TestFollowerEstimateEquivalence:
         beacon = Beacon(sender=0, send_time=now, state=vstate(r=est.anchor_position),
                         estimate=est)
         fast = follower_estimate(now, own, beacon, gains, 1.5, p)
-        speeds, positions = array_compensated_follower(now, own, beacon, gains, 1.5, p)
-        assert bits(fast.speeds) == bits(speeds)
-        assert bits(fast.positions) == bits(positions)
         assert all(type(x) is float for x in (*fast.speeds, *fast.positions))
         expected = follower_speeds(
             own.speed, own.position, est, now - est.anchor_time, gains, 5.0, 1.5, p
@@ -392,22 +414,26 @@ class TestFollowerEstimateEquivalence:
             ("first", 0.25, 8),
             ("middle", 0.03, 8),
             ("middle", 0.25, 8),
-            # Only an extrapolating follower reads the last speed of a
+            # Only a read shifted by a delay reaches the last speed of a
             # horizon as long as its own.
             ("last", 0.25, 8),
-            # A shorter horizon's last position is read only by the tail.
+            # A shorter horizon's last position is read only at and past
+            # its end.
             ("tail", 0.0, 12),
             ("tail", 0.25, 12),
         ],
     )
     def test_non_finite_target_sample_raises(self, implicit, limits, bad, where, tau, n_own):
         # One received sample is corrupt: its speed, and its position where
-        # the follower reads that position.
+        # the follower reads that position. "first" is the first sample the
+        # read uses: the anchor at age 0, sample 2 at 2.5 steps of age.
         speeds = [10.0] * 8
         positions = integrate_position(50.0, 10.0, speeds, 0.1)
         anchor_speed, anchor_position = 10.0, 50.0
-        if where == "first":
+        if where == "first" and tau == 0.0:
             anchor_speed = anchor_position = bad
+        elif where == "first":
+            speeds[1] = positions[1] = bad
         elif where == "middle":
             speeds[3] = positions[3] = bad
         elif where == "last":
@@ -421,8 +447,8 @@ class TestFollowerEstimateEquivalence:
         p = params(horizon_len=n_own, implicit_solve=implicit, limits=limits)
         beacon = Beacon(sender=0, send_time=tau, state=vstate(r=50.0), estimate=est)
         own = vstate(r=20.0, v=10.0)
-        with pytest.raises(NumericFault), np.errstate(invalid="ignore"):
-            array_compensated_follower(tau, own, beacon, GAINS, 1.5, p)
+        with pytest.raises(NumericFault):
+            follower_speeds(own.speed, own.position, est, tau, GAINS, 5.0, 1.5, p)
         with pytest.raises(NumericFault):
             follower_estimate(tau, own, beacon, GAINS, 1.5, p)
 
@@ -487,8 +513,8 @@ class TestFollowerEstimateEquivalence:
     @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
     @pytest.mark.parametrize("v_last", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_final_target_sample_raises(self, implicit, limits, v_last):
-        # The final speed never enters the target's positions, so only the
-        # padding past the end of a short received horizon reads it.
+        # The final speed never enters the target's positions, so only a
+        # read at or past the end of a short received horizon reads it.
         est = estimate_from([10.0, 10.0, v_last], anchor_speed=10.0, anchor_position=50.0)
         assert all(math.isfinite(r) for r in est.positions)
         p = params(horizon_len=6, implicit_solve=implicit, limits=limits)
@@ -511,8 +537,8 @@ class TestFollowerEstimateEquivalence:
         own = vstate(r=100.0 - 20.0, v=10.0)
         p = params(horizon_len=4)
         out = follower_estimate(1.1, own, beacon, GAINS, 1.5, p)
-        # constant-speed target: compensated position for transition 1 is
-        # anchor_position dead-reckoned by tau = 0.1
+        # constant-speed target: transition 1 reads sample 1, the anchor
+        # position one step (tau = 0.1) on
         v_adj, r_adj = compensate_delay(est, 1, 0.1, p)
         assert r_adj == pytest.approx(101.0, abs=1e-12)
         assert out.anchor_time == 1.1

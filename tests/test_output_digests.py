@@ -5,13 +5,17 @@ The sha256 of ``trajectory.csv`` followed by ``metrics.csv`` from
 to be a pure speed-up must keep these digests; a change that moves a
 simulated result must update them and say why.
 
-``paper_stress`` was last moved when the controller view began reading
-the target's broadcast horizon for a beacon at least one prediction step
-old, in place of extrapolating the beacon's ground truth. Both were moved
+``paper_stress`` was last moved when a follower's own horizon began
+reading its target's received horizon at the shifted times
+``now + (k-1)*dt``, as the controller view reads it, in place of holding or
+extrapolating one sample per transition. It was moved before that when the
+controller view began reading the target's broadcast horizon for a beacon
+at least one prediction step old, in place of extrapolating the beacon's
+ground truth. Both were moved
 before that when vehicles that have crossed and cleared the conflict zone
 started to be retired: ``trajectory.csv`` now ends each such vehicle's rows
 at its retirement, and ``metrics.csv`` is unchanged. The digests with every
-vehicle simulated to the end of the run (``bdac5e5f...`` and
+vehicle simulated to the end of the run (``b2a3c4e6...`` and
 ``c477c0a4...``) are asserted on the engine with retirement switched off in
 ``test_retirement.py``.
 
@@ -30,7 +34,7 @@ from cavsim.cli import main
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 DIGESTS = {
-    "paper_stress": "fc157377130604674fe61c7e64aee4abb6dfb0eee8bb5fcbc01129a5408503c2",
+    "paper_stress": "a6bbd84d924b104cc73cdf81454d5516655b6839188603081031c04939cc657c",
     "nominal_intersection": "775f825ab8629ece5e8869f887c5342f2f3732ddc4a6df986c3ca0760b3a7f8d",
 }
 

@@ -321,23 +321,23 @@ ENGINE_PATH_CASES = {
     "two_intersections": (
         _two_intersections(),
         _crosses_both_intersections,
-        "1f489882796aa9bb01b78e839039de29423983a07e63872f28b8cbbda21e9543",
-        "b5a0c5f1f3009851d6d3a06df5e1b30806adfd534f9c30ed796bff755b82187d",
-        "f534c27eb626fc82600846c736c855c1202620cad77d332ef41216f080dccd48",
+        "48baa577003dd66bc68707145041f49bd24779c6297b1c262ac161145dc162cb",
+        "566746e13f7c04df2485203470b7249048ba30b0ff7ca86eb2ab3738008fa576",
+        "39baa70a15d8c6435c3bc07e3560ebae4c187c80bb60ff1890cd96f26aa2e048",
     ),
     "nlos_impaired": (
         paper_stress(prediction_step=0.1, duration=10.0),
         _drops_in_nlos_on_impaired_links_only,
-        "ce5b7843ae10e0c03ded652c12df1ded089321f495edbd67d48b5525e2e8d978",
-        "2e644c7c6616fc15e685e3182056a10107b7ee3701e74b10dd544e23b2f4726d",
-        "6c158e4ee20751697a39d293bcd40ca9d4b299d1f508961cda697c09fb444371",
+        "dc66e3c9f08418c5fc502960049a82c1a6e838757052111ab7bac521feb92f06",
+        "ebe3289cb071d240582399bb7e8b40cec724bf79b8ad6e0e5c0e2ad7f2471c54",
+        "14832b5de50c56ebd8eb0eeb1d0cae45b38892d4e293f220d573553c7a051a6b",
     ),
     "burst_loss": (
         _burst_loss(),
         _enters_the_bad_state,
-        "d693bb008705b3df5324a74277fa6684a71e8d1e8cf97740192ca2e77d59379c",
-        "5135169d5b7de0088796fe5b9a7869e1695a41babce8a78481f6ff8b44e93c3f",
-        "53d1f232206786f84969724b73e530434246e78bd6ef1e1ff61126fa251e9980",
+        "d7d9fac69cf287c065c7d32cb7228ae90d76b10cf66bf0ec52fd52496c331826",
+        "f1d86543574bb14b3665a6d1e52688fd8108a4428e2b79c8a5bd12bfa8bcfc85",
+        "cb431bcd5e84366b628e4bbcbd72cda6c6ef4c6a583144ec9fd5fa2623b7cbab",
     ),
     "record_every_3": (
         _replace(_short_twenty(), "engine", record_every=3),
@@ -351,16 +351,16 @@ ENGINE_PATH_CASES = {
             paper_stress(prediction_step=0.1, duration=10.0), "estimator", implicit_solve=True
         ),
         _solves_implicitly,
-        "6d42189abd0dc64918bd1a9d6fa197af653989f28888d62f038f27ffa64329f0",
-        "38f72bb16682b3df0e36ad8d2c81f6b40d40466b6eb82150665b6500b8ca35a7",
-        "ec2ac93627a0c752ae313cb9eb975a737c8d67831196d996448be2145f2ea999",
+        "45f9f8024ba4fa5b4908c03005ca0b4c75571309871fcf41b30b43200a9a6cf9",
+        "ddf3c121db791689c0d50bcc1559155c9e93c1bc0751932f1f9fb5912ffa3aee",
+        "5991909b252a6153e44b7b4d5e7bf47bee3bc891ab0481673c6e22bb57212b7a",
     ),
     "leader_update": (
         _long_traffic_seed_1(),
         _updates_leader_horizons,
-        "b002e853bfc25489452278c2f0484a79c1021a2962c6d067585e2bbd3a0990bb",
-        "4c3e41c801cb6d3756d90921a311799756bcc57357d628493a08bbda765ab8c8",
-        "b6b90125ac063b6da9c075fdab67c0f20c4e9655f43e4813601f826c78d171f6",
+        "dc356c7f62143d1adec8a98ccbf119f00e5a788a341c3ba6c2e03bd3643b4452",
+        "8d765c0981c9c6bce0e214c1c53fca4806901eede09f595da30a1f8dadb66b6f",
+        "77ecff6c4225ed5a62ef26487bab596a445240f44e8a15ac3da16ec5b0580810",
     ),
 }
 

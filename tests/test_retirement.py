@@ -26,7 +26,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # sha256 of trajectory.csv followed by metrics.csv with every vehicle
 # simulated to the end of the run.
 FULL_RUN_DIGESTS = {
-    "paper_stress": "bdac5e5f4e0f3715212ae4b9dd8336583a89a7a3e5f00bfc51b288e22564a03b",
+    "paper_stress": "b2a3c4e692eeeeffa214b5726b4d371a9898ca8f0bf4d197bc5253a21ce6fd9d",
     "nominal_intersection": "c477c0a40cd2237685060c74dfa8f63fc8a8589a61b1c66168f1f43b9ddc7296",
 }
 

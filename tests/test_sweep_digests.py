@@ -25,17 +25,17 @@ WALL_CLOCK = "mean_step_wallclock_ms"
 # directory: {file: sha256}
 RUN_DIGESTS = {
     "dt_0.100000": {
-        "trajectory.csv": "4585796da0573e18a04fd3fe563ef1a822f955ae000e978c5378897ba4cf07aa",
-        "metrics.csv": "dcfffe5ebed8084895ad42a0d7c2f29f098d1946f2e4b288862a574aa688be95",
-        "summary.json": "9c9568707c649c466be474195a5365d37b1d8249d678aaba942e1ae7d7e9081c",
+        "trajectory.csv": "c00ad094fa9de3a44f1517c828e6b0999a866d6719a7ab6fbd3b238d5bb1fd39",
+        "metrics.csv": "adfb59298fabff6088e7ff6bb348f288f7d1de9264478543042c1882d9e95363",
+        "summary.json": "6d9f8116381d4c15d3115bcca12db23ab4c3722d48fee0f1b472d976e60c07f2",
     },
     "dt_1.000000": {
-        "trajectory.csv": "60dd92f6981b14c1b02446ef79075b6ec8774147f1a98dc2a7bb4fc018bc051e",
-        "metrics.csv": "82f084d0eaae330b27edd69a57914f338be79b7c08bfa4fbd663f08dc120131c",
-        "summary.json": "42a36021097bbb71314bd279be757b2652fe946964133493bc9dd1281b98112a",
+        "trajectory.csv": "832285cdc7272981abc4c22dd63b9d606858057beefc60d8749a53357f178342",
+        "metrics.csv": "8dd2cec7fb278d4f6b0d987821630fb2d5fa2b5bbee9c913d9f36f36017edc63",
+        "summary.json": "789578d04a3b34497bd9fd79b03009efdb27d868fd10e6756b5dbf88d1cbcd4d",
     },
 }
-SWEEP_DIGEST = "81916f02f476a72fcc1ea885f7d726eb0e6da8734fbeff8eaf744182df9f8bd7"
+SWEEP_DIGEST = "341da2b0e7b81ccb80b803588cfb0f0d0b1d6fb041495c9db517e90acfa9df51"
 
 
 def _sha256(data: bytes) -> str:
