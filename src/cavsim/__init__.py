@@ -13,7 +13,7 @@ from .engine import (
     run,
     sweep_prediction_step,
 )
-from .errors import CavSimError, ColdStart, ConfigError, HorizonExhausted, NumericFault
+from .errors import CavSimError, ColdStart, ConfigError, NumericFault
 from .estimation import (
     EstimatorParams,
     integrate_position,

@@ -9,10 +9,6 @@ class NumericFault(CavSimError):
     """A non-finite value reached the plant or controller (bug upstream)."""
 
 
-class HorizonExhausted(CavSimError):
-    """A trajectory estimate was queried beyond its last horizon sample."""
-
-
 class ColdStart(CavSimError):
     """An estimator was asked to act before receiving any target beacon."""
 

@@ -7,8 +7,10 @@ driving toward a preset target speed (``_leader_horizon``); a follower
 propagates the consensus law along the horizon using its target's latest
 broadcast (``follower_estimate``). When no beacon arrives, the previous
 estimate is held (shifted to the new anchor). A broadcast horizon is read
-by one rule: at the time it is needed, interpolated between samples, with
-the final speed held and the position dead-reckoned at it past the end.
+by one rule: at the time it is needed, snapped onto the sample grid,
+interpolated between samples, with the final speed held and the position
+dead-reckoned at it past the end (``types.lerp_trajectory`` is its scalar
+form).
 The controller's view of the target (``target_motion_for_control``) reads
 it at the current time once the latest beacon is a prediction step old
 (its ground truth before that); a follower's transition k reads it at the
@@ -73,7 +75,7 @@ import numpy as np
 
 from .control import ControlGains
 from .dynamics import DynamicsLimits
-from .errors import ColdStart, HorizonExhausted, NumericFault
+from .errors import ColdStart, NumericFault
 from .types import (
     Beacon,
     SimTime,
@@ -521,9 +523,10 @@ def target_motion_for_control(
     One rule on the beacon age ``tau = now - beacon.send_time``. Below one
     prediction step: the beacon's carried ground truth, its position
     advanced at its speed over ``tau``. Otherwise: the target's broadcast
-    horizon, interpolated at ``now``. Past the horizon end: final sample
-    speed held, position extrapolated at that speed, and the view marked
-    ``horizon_exhausted`` for the metrics recorder.
+    horizon read at ``now`` by ``lerp_trajectory``, which past the horizon
+    end holds the final speed and dead-reckons the position at it; the view
+    is then marked ``horizon_exhausted`` for the metrics recorder, from the
+    same snapped sample index as the read.
 
     The link state takes no part: the engine marks a link down only once its
     last arrival is more than one prediction step old, so a down link's
@@ -536,10 +539,6 @@ def target_motion_for_control(
     if tau < params.prediction_step:
         return TargetView(target.position + target.speed * tau, target.speed, target.length, t_gap)
     est = beacon.estimate
-    try:
-        v_view, r_view = lerp_trajectory(est, now)
-    except HorizonExhausted:
-        v_view = est.speed_at(est.horizon_len)
-        r_view = est.position_at(est.horizon_len) + v_view * (now - est.end_time)
-        return TargetView(r_view, v_view, target.length, t_gap, True)
-    return TargetView(r_view, v_view, target.length, t_gap)
+    v_view, r_view = lerp_trajectory(est, now)
+    exhausted = snap_to_grid((now - est.anchor_time) / est.step) > est.horizon_len
+    return TargetView(r_view, v_view, target.length, t_gap, exhausted)

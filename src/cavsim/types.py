@@ -16,7 +16,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BoundError, HorizonExhausted, NumericFault
+from .errors import BoundError, NumericFault
 
 SimTime = float
 VehicleId = int
@@ -207,35 +207,27 @@ def snap_to_grid(x: float) -> float:
     return x
 
 
-def _sample_index(est: TrajectoryEstimate, query_time: SimTime) -> tuple[int, float]:
-    """Locate ``query_time`` on the horizon grid.
+def lerp_trajectory(est: TrajectoryEstimate, query_time: SimTime) -> tuple[float, float]:
+    """Read (speed, position) from a horizon at an arbitrary time: the one
+    scalar read of a broadcast horizon.
 
-    Returns (k, w): the enclosing upper sample index k in 1..N and the
-    interpolation weight w in (0, 1], with w == 1.0 meaning an exact hit
-    on sample k. Queries are snapped onto the grid by ``snap_to_grid``.
+    The query is placed on the sample grid by ``snap_to_grid``, so exact
+    sample times return the stored samples, and times between samples k-1
+    and k interpolate linearly. Past ``end_time`` the final speed is held
+    and the position dead-reckoned at it. Queries at or before the anchor
+    are rejected.
     """
     x = snap_to_grid((query_time - est.anchor_time) / est.step)
     if x <= 0.0:
         raise ValueError(
             f"query {query_time} not after anchor {est.anchor_time}"
         )
-    if x > est.horizon_len:
-        raise HorizonExhausted(
-            f"query {query_time} beyond horizon end {est.end_time}"
-        )
+    n = est.horizon_len
+    if x > n:
+        v = est.speed_at(n)
+        return v, est.position_at(n) + v * (query_time - est.end_time)
     k = math.ceil(x)
     w = x - (k - 1)
-    return k, w
-
-
-def lerp_trajectory(est: TrajectoryEstimate, query_time: SimTime) -> tuple[float, float]:
-    """Read (speed, position) from a horizon at an arbitrary time.
-
-    Exact sample times return the stored samples; times between samples
-    k-1 and k interpolate linearly. Queries at or before the anchor are
-    rejected, queries past ``anchor_time + N*step`` raise HorizonExhausted.
-    """
-    k, w = _sample_index(est, query_time)
     if w == 1.0:
         return est.speed_at(k), est.position_at(k)
     v0, v1 = est.speed_at(k - 1), est.speed_at(k)

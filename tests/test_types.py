@@ -6,7 +6,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from cavsim.errors import HorizonExhausted, NumericFault
+from cavsim.errors import NumericFault
 from cavsim.types import Beacon, TrajectoryEstimate, VehicleState, lerp_trajectory
 
 
@@ -40,10 +40,11 @@ class TestLerpTrajectory:
         speed, _ = lerp_trajectory(est, 10.15)
         assert speed == pytest.approx(5.5, abs=1e-12)
 
-    def test_beyond_horizon_raises(self):
+    def test_beyond_horizon_holds_final_speed(self):
         est = make_estimate([5.0, 6.0, 7.0])  # ends at 10.3
-        with pytest.raises(HorizonExhausted):
-            lerp_trajectory(est, 10.5)
+        speed, position = lerp_trajectory(est, 10.5)
+        assert speed == est.speeds[-1]
+        assert position == est.positions[-1] + est.speeds[-1] * (10.5 - est.end_time)
 
     def test_query_at_anchor_rejected(self):
         est = make_estimate([5.0, 6.0, 7.0])
