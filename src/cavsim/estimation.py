@@ -520,13 +520,16 @@ def target_motion_for_control(
     """Target motion fed to the consensus controller at time ``now``, from
     the latest beacon received from the target.
 
-    One rule on the beacon age ``tau = now - beacon.send_time``. Below one
-    prediction step: the beacon's carried ground truth, its position
-    advanced at its speed over ``tau``. Otherwise: the target's broadcast
-    horizon read at ``now`` by ``lerp_trajectory``, which past the horizon
-    end holds the final speed and dead-reckons the position at it; the view
-    is then marked ``horizon_exhausted`` for the metrics recorder, from the
-    same snapped sample index as the read.
+    One rule on the beacon age ``tau = now - beacon.send_time``, counted in
+    prediction steps and snapped onto the sample grid by ``snap_to_grid``,
+    as the horizon reads are: an age of exactly one step in exact arithmetic
+    is one step, whatever the float noise. Below one step: the beacon's
+    carried ground truth, its position advanced at its speed over ``tau``.
+    Otherwise: the target's broadcast horizon read at ``now`` by
+    ``lerp_trajectory``, which past the horizon end holds the final speed
+    and dead-reckons the position at it; the view is then marked
+    ``horizon_exhausted`` for the metrics recorder, from the same snapped
+    sample index as the read.
 
     The link state takes no part: the engine marks a link down only once its
     last arrival is more than one prediction step old, so a down link's
@@ -536,7 +539,7 @@ def target_motion_for_control(
         raise ColdStart("no beacon ever received from target")
     target = beacon.state
     tau = now - beacon.send_time
-    if tau < params.prediction_step:
+    if snap_to_grid(tau / params.prediction_step) < 1.0:
         return TargetView(target.position + target.speed * tau, target.speed, target.length, t_gap)
     est = beacon.estimate
     v_view, r_view = lerp_trajectory(est, now)

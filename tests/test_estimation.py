@@ -803,9 +803,8 @@ class TestTargetMotionForControl:
         beacon = self._beacon(est, 4.9, vstate())
         view = target_motion_for_control(beacon, 6.0, 1.5, params())
         assert view.horizon_exhausted
-        assert view.speed == 11.0
-        overshoot = 6.0 - est.end_time
-        assert view.position == pytest.approx(est.positions[-1] + 11.0 * overshoot)
+        assert view.speed == est.speeds[-1]
+        assert view.position == est.positions[-1] + est.speeds[-1] * (6.0 - est.end_time)
 
     def test_cold_start_raises(self):
         with pytest.raises(ColdStart):
@@ -827,6 +826,17 @@ class TestTargetMotionForControl:
         view = target_motion_for_control(beacon, 5.0999, 1.5, params())
         assert view.speed == truth.speed
         assert view.position == truth.position + truth.speed * (5.0999 - 5.0)
+
+    def test_age_of_one_step_in_float_noise_reads_the_horizon(self):
+        # 8 * 0.1 - 7 * 0.1 computes as 0.0999...87, under the step; on the
+        # sample grid the age is one step, so the view reads the horizon.
+        send = 7 * 0.1
+        est = estimate_from([10.1, 10.2, 10.3], anchor_time=send, anchor_speed=10.0)
+        beacon = self._beacon(est, send, vstate(r=7.0, v=10.0))
+        assert 8 * 0.1 - send < 0.1
+        view = target_motion_for_control(beacon, 8 * 0.1, 1.5, params())
+        assert (view.speed, view.position) == (est.speeds[0], est.positions[0])
+        assert not view.horizon_exhausted
 
 
 class TestUpdateEstimates:

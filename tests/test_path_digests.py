@@ -321,23 +321,23 @@ ENGINE_PATH_CASES = {
     "two_intersections": (
         _two_intersections(),
         _crosses_both_intersections,
-        "48baa577003dd66bc68707145041f49bd24779c6297b1c262ac161145dc162cb",
-        "566746e13f7c04df2485203470b7249048ba30b0ff7ca86eb2ab3738008fa576",
-        "39baa70a15d8c6435c3bc07e3560ebae4c187c80bb60ff1890cd96f26aa2e048",
+        "1c5538fdd3f5e0506f3195a6f8c81dcf2d88f2f1dfe94ce34c8cfbbe441a8da1",
+        "7e40af1851b0119e05e83bd2d2709d4ff161d7d38b71064bf74b34e4da59e33a",
+        "b6135f009e4701dd398b0bc70c70318119d0fc835c91b701d35424377a1095e8",
     ),
     "nlos_impaired": (
         paper_stress(prediction_step=0.1, duration=10.0),
         _drops_in_nlos_on_impaired_links_only,
-        "dc66e3c9f08418c5fc502960049a82c1a6e838757052111ab7bac521feb92f06",
-        "ebe3289cb071d240582399bb7e8b40cec724bf79b8ad6e0e5c0e2ad7f2471c54",
-        "14832b5de50c56ebd8eb0eeb1d0cae45b38892d4e293f220d573553c7a051a6b",
+        "9c285b7bd0f84754f9bc70cce273c4a82116763c82c29427a9fdf4b65533d62a",
+        "7639c47fed564bbfe8ea5693a9214ad12c96683f3cbe41e267220b62c70c6267",
+        "0cefa0b7da53fb674086005738dd637e7006412e70bb4c95e6312f4f4d1e71d2",
     ),
     "burst_loss": (
         _burst_loss(),
         _enters_the_bad_state,
-        "d7d9fac69cf287c065c7d32cb7228ae90d76b10cf66bf0ec52fd52496c331826",
-        "f1d86543574bb14b3665a6d1e52688fd8108a4428e2b79c8a5bd12bfa8bcfc85",
-        "cb431bcd5e84366b628e4bbcbd72cda6c6ef4c6a583144ec9fd5fa2623b7cbab",
+        "4501f35b48c71cde43342d9e7b4c59e5db8f948f8db15f4b1fc73d976712a385",
+        "56bceba1af13e3c9ff0c30200f145650bf0e36687c65eea58791670207c38d3a",
+        "cd1ce4c6faa80a10a0ae8a65aa1304956d091118c3c3055a356b36f6babd5a7d",
     ),
     "record_every_3": (
         _replace(_short_twenty(), "engine", record_every=3),
@@ -351,16 +351,16 @@ ENGINE_PATH_CASES = {
             paper_stress(prediction_step=0.1, duration=10.0), "estimator", implicit_solve=True
         ),
         _solves_implicitly,
-        "45f9f8024ba4fa5b4908c03005ca0b4c75571309871fcf41b30b43200a9a6cf9",
-        "ddf3c121db791689c0d50bcc1559155c9e93c1bc0751932f1f9fb5912ffa3aee",
-        "5991909b252a6153e44b7b4d5e7bf47bee3bc891ab0481673c6e22bb57212b7a",
+        "519607f386277b288e388c1471eade20a1645b90065a9e501575ed8c0859c30e",
+        "444220b770000135c1b671e21bc1a4c7f5648eee8af1475a1b5675d9cadb3040",
+        "2aff9d0495231e7aede0f4662f497344f7fddf507ce4ed89e92372d3e098837b",
     ),
     "leader_update": (
         _long_traffic_seed_1(),
         _updates_leader_horizons,
-        "dc356c7f62143d1adec8a98ccbf119f00e5a788a341c3ba6c2e03bd3643b4452",
-        "8d765c0981c9c6bce0e214c1c53fca4806901eede09f595da30a1f8dadb66b6f",
-        "77ecff6c4225ed5a62ef26487bab596a445240f44e8a15ac3da16ec5b0580810",
+        "6ca9c6f20350c2b84b31508ca2a29ad79cca28de7bb9dd7696e110933b872f01",
+        "67a55df8350df50dd0981ae3abaa18ecefb84bef437e76220c7f22cdf61bdee7",
+        "39314d170bbd5df4b8f27554ba774d78cc5ffa42da569977ce5870e3e8af1eaa",
     ),
 }
 

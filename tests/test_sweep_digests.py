@@ -25,9 +25,9 @@ WALL_CLOCK = "mean_step_wallclock_ms"
 # directory: {file: sha256}
 RUN_DIGESTS = {
     "dt_0.100000": {
-        "trajectory.csv": "c00ad094fa9de3a44f1517c828e6b0999a866d6719a7ab6fbd3b238d5bb1fd39",
-        "metrics.csv": "adfb59298fabff6088e7ff6bb348f288f7d1de9264478543042c1882d9e95363",
-        "summary.json": "6d9f8116381d4c15d3115bcca12db23ab4c3722d48fee0f1b472d976e60c07f2",
+        "trajectory.csv": "67d27ba9f4d50600d650bcbf752e4eff8124f10a6009f78daa4d2ebca7f8ff67",
+        "metrics.csv": "9174c51fc34d3560c543ae11e2723ea12f7eac664cda5fd549b167fd41f9a455",
+        "summary.json": "6e33521df9e9f5554a2375196bea5ceca7bf0a7181e3c90eef81f0654c234bc9",
     },
     "dt_1.000000": {
         "trajectory.csv": "832285cdc7272981abc4c22dd63b9d606858057beefc60d8749a53357f178342",
@@ -35,7 +35,7 @@ RUN_DIGESTS = {
         "summary.json": "789578d04a3b34497bd9fd79b03009efdb27d868fd10e6756b5dbf88d1cbcd4d",
     },
 }
-SWEEP_DIGEST = "341da2b0e7b81ccb80b803588cfb0f0d0b1d6fb041495c9db517e90acfa9df51"
+SWEEP_DIGEST = "c63483953448f4d145b485c3c4762d2fc348a071755b5d12a994dc2354aa130c"
 
 
 def _sha256(data: bytes) -> str:
