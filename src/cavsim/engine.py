@@ -183,6 +183,9 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"spawns.events[{i}].speed_mps: exceeds dynamics.speed_max"
                 )
+        random = self.spawns.random
+        if random is not None and random.speed_max > self.limits.speed_max:
+            raise ConfigError("spawns.random.speed_max_mps: exceeds dynamics.speed_max")
 
 
 @dataclass
@@ -328,7 +331,7 @@ class SimulationEngine:
             intersection=event.intersection,
             state=VehicleState(
                 position=position,
-                speed=min(event.speed, self.limits.speed_max),
+                speed=event.speed,
                 acceleration=0.0,
                 length=event.length,
                 leg=event.leg,

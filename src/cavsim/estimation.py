@@ -12,9 +12,10 @@ interpolated between samples, with the final speed held and the position
 dead-reckoned at it past the end (``types.lerp_trajectory`` is its scalar
 form).
 The controller's view of the target (``target_motion_for_control``) reads
-it at the current time once the latest beacon is a prediction step old
-(its ground truth before that); a follower's transition k reads it at the
-time the transition steps from, which compensates the horizon's age.
+it at the current time once the latest beacon is a prediction step old, an
+age also snapped onto the grid (its ground truth before that); a
+follower's transition k reads it at the time the transition steps from,
+which compensates the horizon's age.
 
 The file's ``estimator`` section is read as ``EstimatorParams``. The
 functions here keep no state; the engine's vehicle record holds it.

@@ -200,7 +200,9 @@ class TargetView:
 def snap_to_grid(x: float) -> float:
     """A fractional sample index, snapped onto the nearest whole sample
     when within one part in 1e9 of it, so a time that is a whole number of
-    steps past the anchor in exact arithmetic reads that sample."""
+    steps past the anchor in exact arithmetic reads that sample.
+    ``lerp_trajectory``, the follower's compensated read and the controller
+    view's one-step age test all decide through it."""
     nearest = round(x)
     if math.isclose(x, nearest, rel_tol=_GRID_RTOL, abs_tol=_GRID_RTOL):
         return float(nearest)
@@ -219,9 +221,7 @@ def lerp_trajectory(est: TrajectoryEstimate, query_time: SimTime) -> tuple[float
     """
     x = snap_to_grid((query_time - est.anchor_time) / est.step)
     if x <= 0.0:
-        raise ValueError(
-            f"query {query_time} not after anchor {est.anchor_time}"
-        )
+        raise ValueError(f"query {query_time} not after anchor {est.anchor_time}")
     n = est.horizon_len
     if x > n:
         v = est.speed_at(n)

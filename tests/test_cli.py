@@ -422,6 +422,26 @@ class TestOutOfRangeValues:
         err = capsys.readouterr().err
         assert "configuration error: spawns.random.max_vehicles: must be >= 0, got -1" in err
 
+    # A spawn speed is at most dynamics.speed_max (20 by default), for an
+    # explicit event and for the random arrivals' upper bound alike.
+    @pytest.mark.parametrize(
+        "spawns, key",
+        [
+            (
+                {"events": [{"time_s": 0.0, "leg": "a", "speed_mps": 25.0, "start_offset_m": 0.0}]},
+                "spawns.events[0].speed_mps",
+            ),
+            ({"random": {"speed_max_mps": 25.0}}, "spawns.random.speed_max_mps"),
+        ],
+        ids=["events", "random"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_spawn_speed_above_speed_max_exits_2(self, tmp_path, capsys, spawns, key, command):
+        assert run_bad(tmp_path, command, {"spawns": spawns}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}: exceeds dynamics.speed_max")
+        assert not (tmp_path / "out").exists()
+
     def test_zero_max_vehicles_spawns_no_random_arrival(self):
         scenario = parse_scenario({"spawns": {"random": {"max_vehicles": 0}}})
         assert expand_random_spawns(scenario.spawns, scenario.intersections, 60.0, 1) == ()
