@@ -168,12 +168,14 @@ def _value(kind, raw: Any, path: str, item_defaults: Mapping[str, Any] | None = 
 
 def _control(raw: Any, path: str) -> ControlConfig:
     """The control section; ``k`` and ``gamma`` give the single gain pair
-    that stands in for an absent (or null) ``gain_table``."""
+    that stands in for an absent (or null) ``gain_table``; next to one they are an error."""
     section = dict(_mapping(raw, path))
     pair = {key: section.pop(key) for key in DEFAULT_GAINS if key in section}
     gains = _read(ControlGains, pair, path, DEFAULT_GAINS)
     if section.get("gain_table") is None:
         section.pop("gain_table", None)
+    elif pair:
+        raise ConfigError(f"{_at(path, next(iter(pair)))}: not allowed next to a gain_table")
     single = GainTable.single(gains.k, gains.gamma)
     return _read(ControlConfig, section, path, {"gain_table": single})
 
@@ -205,7 +207,7 @@ def parse_scenario(raw: Mapping[str, Any]) -> ScenarioConfig:
 
 
 def load_scenario(path: str, seed_override: int | None = None) -> ScenarioConfig:
-    """Load a scenario file; optionally override the seed."""
+    """Load a scenario file; a seed override is read as the file's ``engine.seed``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=_YAML_LOADER)
@@ -215,12 +217,10 @@ def load_scenario(path: str, seed_override: int | None = None) -> ScenarioConfig
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
     if raw is None:
         raw = {}
-    scenario = parse_scenario(raw)
-    if seed_override is not None:
-        scenario = dataclasses.replace(
-            scenario, engine=dataclasses.replace(scenario.engine, seed=seed_override)
-        )
-    return scenario
+    if seed_override is not None and isinstance(raw, Mapping):
+        engine = _mapping(raw.get("engine", {}), "engine")
+        raw = {**raw, "engine": {**engine, "seed": seed_override}}
+    return parse_scenario(raw)
 
 
 def normalized_dump(scenario: ScenarioConfig) -> str:

@@ -85,7 +85,8 @@ from .scenario import (
     project_to_virtual_lane,
     safety_check,
 )
-from .types import Beacon, TargetView, TrajectoryEstimate, VehicleId, VehicleState, check_bounds
+from .types import Beacon, TargetView, TrajectoryEstimate, VehicleId, VehicleState
+from .types import check_bounds, grid_cutoff, snap_to_grid
 
 log = logging.getLogger(__name__)
 
@@ -101,7 +102,7 @@ CHAIN_BATCH_MIN = 32
 class EngineConfig:
     sim_step: float = field(default=0.1, metadata={"key": "sim_step_s", "gt": 0})
     duration: float = field(default=30.0, metadata={"key": "duration_s", "ge": 0})
-    seed: int = field(default=42, metadata={"key": "seed"})
+    seed: int = field(default=42, metadata={"key": "seed", "ge": 0})
     record_every: int = field(default=1, metadata={"key": "record_every", "ge": 1})
 
     __post_init__ = check_bounds
@@ -152,7 +153,7 @@ class ScenarioConfig:
             if not math.isfinite(value / step):
                 raise ConfigError(f"{key}: {value!r} s holds too many {step!r} s steps to count")
         ratio = dt_pred / dt_sim if dt_pred >= dt_sim else dt_sim / dt_pred
-        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+        if not math.isfinite(ratio) or snap_to_grid(ratio) != round(ratio):
             raise ConfigError(
                 "estimator.prediction_step_s: must be an integer multiple of "
                 f"engine.sim_step_s or vice versa (got {dt_pred} vs {dt_sim})"
@@ -307,8 +308,9 @@ class SimulationEngine:
         # The events are sorted by time, so the due ones are a prefix; the
         # blocked ones stay in front, in their order, and go first next step.
         pending = self._pending_spawns
+        cutoff = grid_cutoff(now)
         due = 0
-        while due < len(pending) and pending[due].time <= now + 1e-12:
+        while due < len(pending) and pending[due].time <= cutoff:
             due += 1
         if due:
             pending[:due] = [event for event in pending[:due] if not self._try_spawn(event, now)]
@@ -487,7 +489,7 @@ class SimulationEngine:
             )
             veh.refreshed_send_time = beacon.send_time
         elif beacon is not None and veh.own_estimate is not None:
-            veh.own_estimate = shift_held_estimate(now, veh.state, veh.own_estimate, self.params)
+            veh.own_estimate = shift_held_estimate(now, veh.state, veh.own_estimate)
         else:
             veh.own_estimate = leader_estimate(now, veh.state, self.params, previous)
             veh.free_driving = True

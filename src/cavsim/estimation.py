@@ -6,11 +6,11 @@ forward-Euler recursion per vehicle role. A chain leader predicts free
 driving toward a preset target speed (``_leader_horizon``); a follower
 propagates the consensus law along the horizon using its target's latest
 broadcast (``follower_estimate``). When no beacon arrives, the previous
-estimate is held (shifted to the new anchor). A broadcast horizon is read
-by one rule: at the time it is needed, snapped onto the sample grid,
-interpolated between samples, with the final speed held and the position
-dead-reckoned at it past the end (``types.lerp_trajectory`` is its scalar
-form).
+estimate is held: shifted to the new anchor, down to its final sample,
+which is never dropped. A broadcast horizon is read by one rule: at the
+time it is needed, snapped onto the sample grid, interpolated between
+samples, with the final speed held and the position dead-reckoned at it
+past the end (``types.lerp_trajectory`` is its scalar form).
 The controller's view of the target (``target_motion_for_control``) reads
 it at the current time once the latest beacon is a prediction step old, an
 age also snapped onto the grid (its ground truth before that); a
@@ -66,7 +66,6 @@ recursions here, the batched one included, to them bit for bit.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import InitVar, dataclass, field
 from itertools import accumulate, repeat
@@ -87,8 +86,6 @@ from .types import (
     lerp_trajectory,
     snap_to_grid,
 )
-
-log = logging.getLogger(__name__)
 
 _NON_FINITE_TARGET = "non-finite sample in the received target horizon"
 
@@ -477,31 +474,22 @@ def leader_estimate(
 
 
 def shift_held_estimate(
-    now: SimTime,
-    own: VehicleState,
-    previous: TrajectoryEstimate,
-    params: EstimatorParams,
+    now: SimTime, own: VehicleState, previous: TrajectoryEstimate
 ) -> TrajectoryEstimate:
     """Carry a follower's estimate through a step with no information update.
 
-    Speed samples whose times have passed are dropped; the rest keep their
-    absolute meaning under the advanced anchor, so the horizon end stays
-    fixed on the wall clock. Positions are re-integrated from the vehicle's
-    own ground truth. Once every sample has expired the vehicle falls back
-    to the no-target prediction.
+    Speed samples whose times have passed are dropped, but never the final
+    one: the rest keep their absolute meaning under the advanced anchor, and
+    past its end a held estimate holds its final speed, as every read past
+    a horizon's end does. Positions are re-integrated from the vehicle's own
+    ground truth.
     """
-    steps_past = max(0, round((now - previous.anchor_time) / previous.step))
-    remaining = previous.speeds[steps_past:]
+    step = previous.step
+    steps_past = max(0, round((now - previous.anchor_time) / step))
+    remaining = previous.speeds[min(steps_past, previous.horizon_len - 1) :]
     if isinstance(remaining, np.ndarray):
         # A chain-kernel view: the new estimate holds Python floats.
         remaining = remaining.tolist()
-    if not remaining:
-        log.warning(
-            "held estimate exhausted at t=%.3f; falling back to free-driving prediction",
-            now,
-        )
-        return leader_estimate(now, own, params)
-    step = previous.step
     return TrajectoryEstimate(
         anchor_time=now,
         step=step,

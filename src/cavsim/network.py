@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .types import Beacon, SimTime, VehicleId, check_bounds
+from .types import Beacon, SimTime, VehicleId, check_bounds, grid_cutoff
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,7 @@ class ChannelModel:
         )
 
     def in_nlos(self, t: SimTime) -> bool:
+        t = grid_cutoff(t)
         for start, end in self.nlos_windows:
             if start <= t < end:
                 return True
@@ -226,7 +227,8 @@ class V2XChannel:
         if inbox is None:
             return out
         heap, consumed = inbox
-        while heap and heap[0][0] <= now:
+        cutoff = grid_cutoff(now)
+        while heap and heap[0][0] <= cutoff:
             _, sender, send_time, _, beacon = heappop(heap)
             last = consumed.get(sender)
             if last is None or send_time > last:

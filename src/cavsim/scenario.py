@@ -50,6 +50,8 @@ class IntersectionSpec:
     def __post_init__(self) -> None:
         if not self.legs:
             raise ValueError("intersection needs at least one leg")
+        if len({leg.id for leg in self.legs}) != len(self.legs):
+            raise ValueError("duplicate leg ids")
         check_bounds(self)
         for leg in self.legs:
             if leg.approach_length < self.control_zone_radius:

@@ -25,7 +25,7 @@ _INF = math.inf
 _new_tuple = tuple.__new__
 _setattr = object.__setattr__
 
-# Relative tolerance used to snap horizon queries onto exact sample times.
+# Relative tolerance of the sample grid (``snap_to_grid``) and step clock (``grid_cutoff``).
 _GRID_RTOL = 1e-9
 
 # A field's bounds are its metadata entries "gt", "ge" and "le"; all must hold.
@@ -155,9 +155,9 @@ class TrajectoryEstimate:
 class Beacon(namedtuple("Beacon", ("sender", "send_time", "state", "estimate"))):
     """One broadcast message: sender's ground truth plus its estimate.
 
-    ``estimate.anchor_time <= send_time``: the estimate refreshes on
-    prediction boundaries, which may be coarser than the beacon rate. A NaN
-    send time fails the check too.
+    ``estimate.anchor_time <= send_time`` on the step clock (``grid_cutoff``):
+    the estimate refreshes on prediction boundaries, which may be coarser
+    than the beacon rate. A NaN send time fails the check too.
 
     An immutable named tuple, with the check in ``__new__``: every vehicle
     with a follower builds one per step. Fields are read by name.
@@ -172,10 +172,9 @@ class Beacon(namedtuple("Beacon", ("sender", "send_time", "state", "estimate")))
         state: VehicleState,
         estimate: TrajectoryEstimate,
     ) -> "Beacon":
-        if not estimate.anchor_time <= send_time + 1e-12:
-            raise ValueError(
-                f"estimate anchored at {estimate.anchor_time}, after beacon send time {send_time}"
-            )
+        anchor = estimate.anchor_time
+        if not anchor <= grid_cutoff(send_time):
+            raise ValueError(f"estimate anchored at {anchor}, after beacon send time {send_time}")
         return _new_tuple(cls, (sender, send_time, state, estimate))
 
     @classmethod
@@ -201,12 +200,18 @@ def snap_to_grid(x: float) -> float:
     """A fractional sample index, snapped onto the nearest whole sample
     when within one part in 1e9 of it, so a time that is a whole number of
     steps past the anchor in exact arithmetic reads that sample.
-    ``lerp_trajectory``, the follower's compensated read and the controller
-    view's one-step age test all decide through it."""
+    ``lerp_trajectory``, the follower's compensated read, the controller
+    view's one-step age test and the step-ratio check all decide through it."""
     nearest = round(x)
     if math.isclose(x, nearest, rel_tol=_GRID_RTOL, abs_tol=_GRID_RTOL):
         return float(nearest)
     return x
+
+
+def grid_cutoff(now: SimTime) -> SimTime:
+    """The latest time at or before ``now`` on the step clock: ``now`` plus
+    ``snap_to_grid``'s tolerance, one part in 1e9 of ``now`` (of 1 s below 1 s)."""
+    return now + _GRID_RTOL * (now if now > 1.0 else 1.0)
 
 
 def lerp_trajectory(est: TrajectoryEstimate, query_time: SimTime) -> tuple[float, float]:

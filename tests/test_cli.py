@@ -105,7 +105,8 @@ class TestConfigParsing:
             "    headway_edges: [0.0, 50.0]\n"
             "    entries: [[[[0.5, 0.8], [0.3, 0.6]]]]"
         )
-        cfg = VALID_CONFIG.replace("  time_gap_s: 1.5", gain_table_block)
+        # The table replaces the k/gamma pair, which may not sit next to it.
+        cfg = VALID_CONFIG.replace("  k: 0.5\n  gamma: 0.8\n  time_gap_s: 1.5", gain_table_block)
         scenario = load_scenario(str(write_config(tmp_path, cfg)))
         table = scenario.control.gain_table
         assert table.entries[0][0][1] == (0.3, 0.6)
@@ -333,8 +334,9 @@ def out_of_bound_cases():
 def test_out_of_bound_cases_cover_every_bounded_key():
     # Guards the walk: every section with a bounded key, the owners' included.
     keys = {(config_path(doc_path(c.values[0])), c.values[1]) for c in out_of_bound_cases()}
-    assert len(keys) == 29
+    assert len(keys) == 30
     assert {
+        ("engine", "seed"),
         ("estimator", "prediction_step_s"),
         ("control", "k"),
         ("control", "gamma"),
@@ -440,6 +442,46 @@ class TestOutOfRangeValues:
         assert run_bad(tmp_path, command, {"spawns": spawns}) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {key}: exceeds dynamics.speed_max")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys, command):
+        # numpy's seed sequence takes no negative entropy; the bound names the key.
+        argv = [command, "--config", str(write_config(tmp_path)), "--seed", "-3"]
+        argv += ["--out", str(tmp_path / "out")] + (["--steps", "0.1"] if command == "sweep" else [])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "configuration error: engine.seed: must be >= 0, got -3\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc", ["- 1\n", "engine: [1]\n", "engine:\n"])
+    def test_seed_override_reports_a_bad_shape_as_without_it(self, tmp_path, doc):
+        path = str(write_config(tmp_path, doc))
+        with pytest.raises(ConfigError) as plain:
+            load_scenario(path)
+        with pytest.raises(ConfigError) as overridden:
+            load_scenario(path, seed_override=5)
+        assert str(overridden.value) == str(plain.value)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_duplicate_leg_ids_exit_2(self, tmp_path, capsys, command):
+        # Leg lookup by id would never reach the second leg, while random
+        # arrivals and the safety check would use both as one lane.
+        legs = [{"id": "a", "approach_length_m": 250}, {"id": "a", "approach_length_m": 200}]
+        assert run_bad(tmp_path, command, {"intersections": [{"id": "x", "legs": legs}]}) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: intersections[0]: duplicate leg ids\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "pair, key", [({"k": 9.0, "gamma": 0.1}, "k"), ({"gamma": 0.1}, "gamma")], ids=["k", "gamma"]
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_gain_pair_next_to_gain_table_exits_2(self, tmp_path, capsys, pair, key, command):
+        # A gain table replaces the single pair; a pair next to it would be ignored.
+        control = {**pair, "gain_table": {"entries": [[[[0.5, 0.8]]]]}}
+        assert run_bad(tmp_path, command, {"control": control}) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: control.{key}: not allowed next to a gain_table\n"
         assert not (tmp_path / "out").exists()
 
     def test_zero_max_vehicles_spawns_no_random_arrival(self):

@@ -1,9 +1,10 @@
 """The scenario schema: resolved configs, documented defaults, type errors.
 
 The golden files under ``tests/data`` hold ``cavsim validate`` output for
-the shipped scenarios, for ``every_section.yaml`` (every section and key
-set) and for an empty file (every default), as printed before the config
-dataclasses became the schema.
+the shipped scenarios, for ``every_section.yaml`` (every section and every
+key that can be set together, so all but ``control.k``/``control.gamma``,
+which a gain table excludes) and for an empty file (every default), as
+printed before the config dataclasses became the schema.
 """
 
 import copy

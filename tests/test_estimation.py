@@ -743,8 +743,8 @@ class TestBatchedHorizonViews:
     def test_shift_returns_python_floats_equal_to_tuple_twin(self, now):
         p, row, scalar = _batched_and_scalar()
         own = vstate(r=75.0, v=10.5)
-        shifted = shift_held_estimate(now, own, row, p)
-        twin = shift_held_estimate(now, own, scalar, p)
+        shifted = shift_held_estimate(now, own, row)
+        twin = shift_held_estimate(now, own, scalar)
         assert isinstance(shifted.speeds, tuple) and isinstance(shifted.positions, tuple)
         assert all(type(x) is float for x in (*shifted.speeds, *shifted.positions))
         assert bits(shifted.speeds) == bits(twin.speeds)
@@ -755,7 +755,7 @@ class TestHoldAndShift:
     def test_shift_drops_leading_sample(self):
         prev = estimate_from([5.0, 6.0, 7.0], anchor_time=2.0, step=0.1)
         own = vstate(r=50.0, v=5.5)
-        shifted = shift_held_estimate(2.1, own, prev, params(horizon_len=3))
+        shifted = shift_held_estimate(2.1, own, prev)
         assert shifted.anchor_time == pytest.approx(2.1)
         assert shifted.speeds == (6.0, 7.0)
         assert shifted.anchor_speed == 5.5
@@ -763,16 +763,25 @@ class TestHoldAndShift:
 
     def test_shift_multiple_steps(self):
         prev = estimate_from([5.0, 6.0, 7.0, 8.0], anchor_time=2.0, step=0.1)
-        shifted = shift_held_estimate(2.3, vstate(), prev, params(horizon_len=4))
+        shifted = shift_held_estimate(2.3, vstate(), prev)
         assert shifted.speeds == (8.0,)
 
-    def test_exhausted_hold_falls_back_to_free_driving(self, caplog):
+    def test_exhausted_hold_keeps_final_sample(self, caplog):
+        # Past its end a held horizon holds its final speed, as every read
+        # past a horizon's end does; it neither warns nor predicts anew.
         prev = estimate_from([5.0], anchor_time=2.0, step=0.1)
-        p = params(horizon_len=10)
-        with caplog.at_level(logging.WARNING, logger="cavsim.estimation"):
-            out = shift_held_estimate(2.5, vstate(v=10.0), prev, p)
-        assert out.horizon_len == 10
-        assert out.speeds == tuple(predict_leader_speed(p, 10.0))
+        with caplog.at_level(logging.DEBUG, logger="cavsim"):
+            out = shift_held_estimate(2.5, vstate(r=40.0, v=10.0), prev)
+        assert not caplog.records
+        assert out.anchor_time == 2.5
+        assert out.speeds == (5.0,)
+        assert out.positions == (40.0 + 10.0 * 0.1,)
+        assert (out.anchor_speed, out.anchor_position) == (10.0, 40.0)
+
+    def test_shift_past_the_end_keeps_only_the_final_sample(self):
+        prev = estimate_from([5.0, 6.0, 7.0], anchor_time=2.0, step=0.1)
+        for now in (2.2, 2.3, 2.9):
+            assert shift_held_estimate(now, vstate(), prev).speeds == (7.0,)
 
 
 class TestTargetMotionForControl:

@@ -16,7 +16,7 @@ from cavsim.network import (
     seeded_stream,
     transmit,
 )
-from cavsim.types import Beacon, TrajectoryEstimate, VehicleState
+from cavsim.types import Beacon, TrajectoryEstimate, VehicleState, grid_cutoff
 
 
 def beacon(sender=0, send_time=0.0, position=0.0, speed=10.0):
@@ -108,6 +108,15 @@ class TestTransmit:
         v2x.send(beacon(sender=0, send_time=1.0), 1, 1.0)
         assert list(v2x._streams) == [(0, 1)]
 
+    def test_nlos_window_edges_are_on_the_step_clock(self):
+        # 3 * 0.3 computes as 0.8999999999999999 and 6 * 0.3 as
+        # 1.7999999999999998, yet [0.9, 1.8) covers steps 3-5 exactly.
+        channel = ChannelModel(delay_mean=0.0, delay_std=0.0, loss_prob=0.0,
+                               nlos_windows=((0.9, 1.8),))
+        dropped = [i for i in range(10)
+                   if transmit(channel, beacon(send_time=i * 0.3), i * 0.3, None) is DROPPED]
+        assert dropped == [3, 4, 5]
+
     def test_burst_model_state_machine(self):
         channel = ChannelModel(
             loss_prob=0.0, delay_std=0.0, delay_mean=0.0, seed=1,
@@ -175,7 +184,8 @@ class ReferenceChannel:
         return True
 
     def deliver_to(self, receiver, now):
-        while self.queue and self.queue[0][0] <= now:
+        # Due: at or before ``now`` on the step clock.
+        while self.queue and self.queue[0][0] <= grid_cutoff(now):
             *_, rcv, b = heapq.heappop(self.queue)
             bucket = self.pending.setdefault(rcv, {})
             held = bucket.get(b.sender)
@@ -267,6 +277,22 @@ class TestV2XChannel:
         assert deliver_both(channels, 1, 2.0)[0].send_time == 1.0
         assert deliver_both(channels, 2, 3.0)[0].send_time == 1.0
 
+    @pytest.mark.parametrize("delay, dt", [(0.04, 0.02), (0.1, 0.1), (0.1, 0.02)])
+    def test_whole_step_delay_delivers_that_many_steps_after_sending(self, delay, dt):
+        """A draw-free delay of m steps delivers every beacon exactly m steps
+        after its send, on the engine's clock ``now = i * dt``, though ``i *
+        dt + delay`` often computes above ``(i + m) * dt``: a bare ``<=``
+        delivered 34, 132 and 324 of these 1,500 sends a step late."""
+        m = round(delay / dt)
+        channel = V2XChannel(ChannelModel(delay_mean=delay, delay_std=0.0, loss_prob=0.0))
+        delivered = {}
+        for i in range(1500 + m):
+            for b in channel.deliver_to(1, i * dt).values():
+                delivered[i] = round(b.send_time / dt)
+            if i < 1500:
+                channel.send(beacon(sender=0, send_time=i * dt), 1, i * dt)
+        assert delivered == {i + m: i for i in range(1500)}
+
 
 vehicle = st.integers(0, 3)
 # Every step, 0 -> 1 and 1 -> 2 send and both receivers poll, over 2 s.
@@ -280,7 +306,8 @@ DRAW_FREE_SCHEDULE = [([(0, 1), (1, 2)], [1, 2])] * 20
         max_size=30,
     ),
     seed=st.integers(0, 2**16),
-    delay_mean=st.sampled_from([0.0, 0.05, 0.15]),
+    # 0.1 s and 0.2 s are whole steps of the 0.1 s schedule.
+    delay_mean=st.sampled_from([0.0, 0.05, 0.1, 0.15, 0.2]),
     delay_std=st.sampled_from([0.0, 0.1]),
     loss_prob=st.sampled_from([0.0, 0.2]),
     burst=st.sampled_from([None, BurstLossModel(p_good_to_bad=0.3, p_bad_to_good=0.5)]),

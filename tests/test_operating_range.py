@@ -94,17 +94,27 @@ def test_a_long_delay_keeps_the_position_error_within_the_cap():
     strict=True,
     raises=AssertionError,
     reason=(
-        "the FCFS id tie-break on a same-step zone entry (uncapped, 300 s): "
-        "vehicle 51 acquires vehicle 50 at t = 191.4 s although 51 is "
-        "0.147 m ahead of 50; both entered the zone in that step. 1 of 73 "
-        "acquisitions"
+        "the FCFS id tie-break on a same-step zone entry: vehicle 0 (leg a, "
+        "99.0 m in, 10 m/s) and vehicle 1 (leg b, 99.5 m in, 12 m/s) both "
+        "enter the 150 m control zone of their 250 m approaches in the step "
+        "to t = 0.1 s, and vehicle 1 acquires vehicle 0 at -0.70 m headway"
     ),
 )
 def test_a_vehicle_acquires_only_a_target_ahead_of_it():
-    scenario = _nominal(("spawns", "random"), "max_vehicles", None)
-    scenario = dataclasses.replace(
-        scenario, engine=dataclasses.replace(scenario.engine, duration=300.0)
-    )
+    doc = yaml.safe_load(NOMINAL.read_text(encoding="utf-8"))
+    doc["engine"]["duration_s"] = 1.0
+    doc["intersections"][0]["legs"] = [
+        {"id": "a", "approach_length_m": 250.0},
+        {"id": "b", "approach_length_m": 250.0},
+    ]
+    doc["spawns"] = {
+        "events": [
+            {"leg": "a", "start_offset_m": 99.0, "speed_mps": 10.0},
+            {"leg": "b", "start_offset_m": 99.5, "speed_mps": 12.0},
+        ]
+    }
+    scenario = parse_scenario(doc)
+    assert scenario.intersections[0].control_zone_radius == 150.0
     targets = {}
     acquisitions = []
 
@@ -112,9 +122,9 @@ def test_a_vehicle_acquires_only_a_target_ahead_of_it():
         for vid, veh in engine.vehicles.items():
             if veh.target is not None and targets.get(vid) != veh.target:
                 headway = engine.vehicles[veh.target].state.position - veh.state.position
-                acquisitions.append((round(now, 6), vid, veh.target, headway))
+                acquisitions.append((round(now, 6), vid, veh.target, round(headway, 6)))
             targets[vid] = veh.target
 
     run(scenario, on_step=probe)
-    assert len(acquisitions) == 73
+    assert len(acquisitions) == 1 and acquisitions[0][0] == 0.1
     assert [a for a in acquisitions if not a[3] > 0] == []

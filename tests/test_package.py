@@ -46,9 +46,10 @@ def test_library_call_that_clamps_writes_nothing_to_stderr():
 
 def test_cli_logs_when_asked(tmp_path):
     # A lowest headway edge above the spawn gap makes the follower's gain
-    # lookup clamp, which logs a warning.
+    # lookup clamp, which logs a warning. The table replaces the k/gamma
+    # pair, which may not sit next to it.
     cfg = VALID_CONFIG.replace(
-        "  time_gap_s: 1.5",
+        "  k: 0.5\n  gamma: 0.8\n  time_gap_s: 1.5",
         "  time_gap_s: 1.5\n"
         "  gain_table:\n"
         "    v_i_edges: [0.0]\n"

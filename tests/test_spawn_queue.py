@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavsim.engine import EngineConfig, ScenarioConfig, SimulationEngine
+from cavsim.estimation import EstimatorParams
 from cavsim.scenario import IntersectionSpec, LegSpec, RandomSpawnSpec, SpawnEvent, SpawnPlan
+from cavsim.types import grid_cutoff
 
 from conftest import PERFECT_CHANNEL
 
@@ -25,10 +27,11 @@ LEGS = (LegSpec("a", 250.0), LegSpec("b", 230.0), LegSpec("c", 260.0))
 
 
 def full_scan_spawn_due(engine: SimulationEngine, now: float) -> None:
-    """Phase 1 as a rescan of every pending event (the reference)."""
+    """Phase 1 as a rescan of every pending event (the reference), with the
+    same due rule: at or before ``now`` on the step clock."""
     remaining: list[SpawnEvent] = []
     for event in engine._pending_spawns:
-        if event.time > now + 1e-12:
+        if event.time > grid_cutoff(now):
             remaining.append(event)
             continue
         if not engine._try_spawn(event, now):
@@ -89,7 +92,7 @@ def spawn_log(engine: SimulationEngine) -> tuple[list, list]:
     try_spawn = engine._try_spawn
 
     def recorded(event, now):
-        assert event.time <= now + 1e-12, "tried an event before it was due"
+        assert event.time <= grid_cutoff(now), "tried an event before it was due"
         result = try_spawn(event, now)
         tried.append((round(now / DT), event, result))
         return result
@@ -136,3 +139,26 @@ def test_blocked_events_are_retried_first_in_their_order():
     deferred = [step for step, event, result in tried if event == blocked[0] and not result]
     assert deferred == list(range(1, 1 + len(deferred))) and len(deferred) > 1
     assert (spawned, tried) == spawn_log(FullScanEngine(scenario))
+
+
+def test_late_spawn_is_due_on_its_own_step():
+    """Past 16,384 s a float step is more than 1e-12 s, so an absolute
+    tolerance no longer places a spawn time on the step clock: 16,384.08 s
+    reads one ulp above step 546,136 of 0.03 s. The due rule's relative
+    tolerance (``types.grid_cutoff``) spawns it on that step."""
+    dt, step = 0.03, 546_136
+    event = SpawnEvent(time=16384.08, intersection="x", leg="a", speed=10.0)
+    assert event.time > step * dt
+    engine = SimulationEngine(
+        ScenarioConfig(
+            engine=EngineConfig(sim_step=dt, duration=16400.0, seed=0),
+            channel=PERFECT_CHANNEL,
+            estimator=EstimatorParams(prediction_step=dt),
+            intersections=(IntersectionSpec(id="x", legs=LEGS[:1]),),
+            spawns=SpawnPlan(events=(event,)),
+        )
+    )
+    engine._spawn_due((step - 1) * dt)
+    assert not engine.vehicles
+    engine._spawn_due(step * dt)
+    assert list(engine.vehicles) == [0]

@@ -181,6 +181,16 @@ class TestInvariants:
         Beacon(sender=0, send_time=10.0, state=state, estimate=est)
         Beacon(sender=0, send_time=10.5, state=state, estimate=est)
 
+    def test_beacon_compares_anchor_and_send_time_on_the_step_clock(self):
+        # Past 16,384 s one ulp exceeds 1e-12 s; an anchor one ulp after the
+        # send time is the same step, one step after it is not.
+        send_time = 546_136 * 0.03
+        state = VehicleState(position=0.0, speed=5.0, acceleration=0.0, length=5.0, leg="a")
+        assert 16384.08 > send_time
+        Beacon(0, send_time, state, make_estimate([5.0], anchor_time=16384.08))
+        with pytest.raises(ValueError):
+            Beacon(0, send_time, state, make_estimate([5.0], anchor_time=send_time + 0.03))
+
 
 class TestBeaconTuple:
     """Beacon is an immutable named tuple; every way to build one checks it."""
