@@ -9,7 +9,7 @@ of the stored number.
 The config dataclasses are the schema. A field's file key is its
 ``metadata["key"]`` (a field without one is not read from files), its kind
 is its annotation, and its default is the dataclass default, else
-``metadata["default"]``. A kind is a scalar (float, int, bool or str), a
+``metadata["default"]``. A kind is a scalar (float, int or str), a
 dataclass read as a nested section, or a tuple read from a YAML list:
 ``tuple[X, ...]`` takes any number of items and ``tuple[X, Y]`` exactly
 two, each item read as its own kind at ``path[i]``. A section in a list
@@ -66,11 +66,7 @@ def _number(value: Any, path: str, kind: type = float):
 
 
 def _scalar(value: Any, path: str, kind: type):
-    """A bool, a string (numbers read as their text) or a finite number."""
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected true or false, got {value!r}")
-        return value
+    """A string (numbers read as their text) or a finite number."""
     if kind is str:
         if not isinstance(value, (str, int, float)):
             raise ConfigError(f"{path}: expected a string, got {type(value).__name__}")
@@ -149,7 +145,7 @@ def _value(kind, raw: Any, path: str, item_defaults: Mapping[str, Any] | None = 
     """``raw`` read as ``kind``: a scalar, a section with the defaults
     ``item_defaults``, or a list for a tuple kind, whose item ``i`` is read
     at ``path[i]`` with ``item_defaults`` and the ``id`` ``str(i)``."""
-    if kind in (float, int, bool, str):
+    if kind in (float, int, str):
         return _scalar(raw, path, kind)
     if typing.get_origin(kind) is not tuple:
         return _read(kind, raw, path, item_defaults)

@@ -26,9 +26,9 @@ Per-step phase order (identical every step, deterministic given the seed):
    dataclass) built once per sending vehicle and step; every channel model
    takes the same ``V2XChannel.send``/``deliver_to`` path.
    On a prediction boundary, an order of at least ``CHAIN_BATCH_MIN``
-   vehicles on a channel that can neither delay nor drop, in the explicit
-   form, gets its followers' horizons from one vectorised pass computed
-   when its head has sent (``chain_follower_horizons``). The head has no
+   vehicles on a channel that can neither delay nor drop gets its
+   followers' horizons from one vectorised pass computed when its head has
+   sent (``chain_follower_horizons``). The head has no
    target, so the horizon it sends is the ``leader_estimate`` it has just
    refreshed: anchored at this step and full length, the pass's
    precondition, which this call site owns. Delivery and sending run
@@ -294,10 +294,9 @@ class SimulationEngine:
         # consecutive beacons cannot flap the link).
         self._link_window = max(self.params.prediction_step, self.dt) + 0.5 * self.dt
         # A chain's horizons are batched only where every follower takes its
-        # row: explicit form, and a channel that neither delays nor drops.
+        # row: a channel that neither delays nor drops.
         self._batch_chains = (
-            not self.params.implicit_solve
-            and channel_model.draws_nothing
+            channel_model.draws_nothing
             and channel_model.delay_mean == 0
             and not channel_model.nlos_windows
         )

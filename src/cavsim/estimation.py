@@ -109,7 +109,6 @@ class EstimatorParams:
     a_max: float = field(default=0.73, metadata={"key": "a_max", "gt": 0})
     sigma: float = field(default=4.0, metadata={"key": "sigma", "gt": 0})
     v_target: float = field(default=15.0, metadata={"key": "v_target", "gt": 0})
-    implicit_solve: bool = field(default=False, metadata={"key": "implicit_solve"})
     limits: InitVar[DynamicsLimits] = DynamicsLimits(math.inf, math.inf, math.inf)
 
     def __post_init__(self, limits: DynamicsLimits) -> None:
@@ -216,9 +215,6 @@ def follower_estimate(
     Each transition applies the consensus law to the previous-sample pair,
     in the exact operation order of ``control.consensus_accel``, and steps
     the speed as the plant does, so the loop stays bit-compatible with both.
-    With ``implicit_solve`` the transition instead solves the published
-    fixed-point form (next speed on both sides, follower position advanced)
-    in closed form; it is config-gated for comparison and off by default.
 
     Delay compensation is the view's rule (``target_motion_for_control``):
     transition k, which steps from ``now + (k-1)*dt``, reads the received
@@ -269,12 +265,8 @@ def follower_estimate(
         v_targets += [v_last] * (n - m)
         r_targets += [r_last + v_last * ((k + c - n_t) * dt) for k in range(m, n)]
     l_target = beacon.state.length
-    k_gain = gains.k
     gamma = gains.gamma
-    implicit = params.implicit_solve
-    a = gains.alpha * k_gain * dt
-    denom = 1.0 + a * (t_gap + gamma)
-    neg_gain = -gains.alpha * k_gain
+    neg_gain = -gains.alpha * gains.k
     neg_decel = -params.limits.decel_max
     accel_max = params.limits.accel_max
     speed_max = params.limits.speed_max
@@ -284,12 +276,8 @@ def follower_estimate(
     v = own.speed
     r = own.position
     for v_t, r_t in zip(v_targets, r_targets):
-        if implicit:
-            numer = v - a * (r + v * dt - r_t + l_target - gamma * v_t)
-            accel = (numer / denom - v) / dt
-        else:
-            spacing = r - r_t + l_target + v * t_gap
-            accel = neg_gain * (spacing + gamma * (v - v_t))
+        spacing = r - r_t + l_target + v * t_gap
+        accel = neg_gain * (spacing + gamma * (v - v_t))
         if accel < neg_decel:
             if not (isfinite(v_t) and isfinite(r_t)):
                 raise NumericFault(_NON_FINITE_TARGET)
@@ -331,7 +319,7 @@ def chain_follower_horizons(
     t_gap: float,
     params: EstimatorParams,
 ) -> Iterator[TrajectoryEstimate | None]:
-    """Explicit-form horizons of a chain of followers refreshed at ``now``.
+    """Horizons of a chain of followers refreshed at ``now``.
 
     Follower 1 follows ``beacon``; follower i+1 follows follower i's horizon
     of this step. Precondition, owned by the engine's call site (an order
@@ -341,9 +329,9 @@ def chain_follower_horizons(
     horizon is aged 0 and full length, and its samples are the targets as
     they are. Transition k of every follower needs only sample k-1 of its
     target, and one loop over the samples steps the whole chain as one
-    vector, in the operation order of ``follower_estimate``'s explicit
-    branch. Each result equals the estimate ``follower_estimate`` returns
-    for that follower from the previous follower's, bit for bit.
+    vector, in the operation order of ``follower_estimate``'s transition.
+    Each result equals the estimate ``follower_estimate`` returns for that
+    follower from the previous follower's, bit for bit.
 
     The scalar operands (time gap, step, bounds and the zero of the lower
     clamp) are 0-d float64 arrays, built once per call: numpy then converts

@@ -88,7 +88,7 @@ def project_to_virtual_lane(
 
 @dataclass(frozen=True)
 class SpawnEvent:
-    time: float = field(metadata={"key": "time_s", "default": 0.0})
+    time: float = field(metadata={"key": "time_s", "default": 0.0, "ge": 0})
     intersection: str = field(metadata={"key": "intersection"})
     leg: str = field(metadata={"key": "leg"})
     speed: float = field(metadata={"key": "speed_mps", "default": 10.0, "ge": 0})
@@ -118,7 +118,9 @@ class RandomSpawnSpec:
 class SpawnPlan:
     events: tuple[SpawnEvent, ...] = field(default=(), metadata={"key": "events"})
     random: RandomSpawnSpec | None = field(default=None, metadata={"key": "random"})
-    min_spawn_gap: float = field(default=10.0, metadata={"key": "min_spawn_gap_m"})
+    min_spawn_gap: float = field(default=10.0, metadata={"key": "min_spawn_gap_m", "ge": 0})
+
+    __post_init__ = check_bounds
 
 
 def expand_random_spawns(

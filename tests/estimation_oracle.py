@@ -104,14 +104,12 @@ def predict_follower_speed(
 ) -> float:
     """One speed-horizon transition of a following vehicle.
 
-    Default (explicit) form applies the consensus law to the previous-sample
-    pair and steps forward by the prediction step:
+    Applies the consensus law to the previous-sample pair and steps forward
+    by the prediction step:
 
         v_next = prev_v + u(prev_r, prev_v, r_adj, v_adj) * dt
 
-    clamped at zero. The implicit variant solves the published fixed-point
-    form (next speed on both sides, follower position advanced) in closed
-    form.
+    clamped at zero.
     """
     for name, value in (
         ("prev_v", prev_v),
@@ -123,25 +121,17 @@ def predict_follower_speed(
             raise NumericFault(f"non-finite estimator input {name}={value}")
     if t_gap <= 0:
         raise ValueError("t_gap must be > 0")
-    dt = params.prediction_step
-    if params.implicit_solve:
-        a = gains.alpha * gains.k * dt
-        r_next = prev_r + prev_v * dt
-        numer = prev_v - a * (r_next - target_r_adj + l_target - gains.gamma * target_v_adj)
-        v_solved = numer / (1.0 + a * (t_gap + gains.gamma))
-        accel = (v_solved - prev_v) / dt
-    else:
-        accel = consensus_accel_raw(
-            prev_r,
-            prev_v,
-            target_r_adj,
-            target_v_adj,
-            l_target,
-            t_gap,
-            gains.alpha,
-            gains.k,
-            gains.gamma,
-        )
+    accel = consensus_accel_raw(
+        prev_r,
+        prev_v,
+        target_r_adj,
+        target_v_adj,
+        l_target,
+        t_gap,
+        gains.alpha,
+        gains.k,
+        gains.gamma,
+    )
     v_next = step_speed(params, prev_v, accel)
     if not math.isfinite(v_next):
         raise NumericFault("follower speed prediction diverged to non-finite")

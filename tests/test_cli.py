@@ -334,7 +334,7 @@ def out_of_bound_cases():
 def test_out_of_bound_cases_cover_every_bounded_key():
     # Guards the walk: every section with a bounded key, the owners' included.
     keys = {(config_path(doc_path(c.values[0])), c.values[1]) for c in out_of_bound_cases()}
-    assert len(keys) == 30
+    assert len(keys) == 32
     assert {
         ("engine", "seed"),
         ("estimator", "prediction_step_s"),
@@ -423,6 +423,36 @@ class TestOutOfRangeValues:
         assert main(["validate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "configuration error: spawns.random.max_vehicles: must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_negative_spawn_gap_exits_2(self, tmp_path, capsys, command):
+        # Without the bound, two events at one spot both spawn and overlap:
+        # 10 rear-end violation-steps in 1 s.
+        event = {"time_s": 0.0, "leg": "a"}
+        doc = {
+            "engine": {"duration_s": 1.0},
+            "spawns": {"min_spawn_gap_m": -50, "events": [event, event]},
+        }
+        assert run_bad(tmp_path, command, doc) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: spawns.min_spawn_gap_m: must be >= 0, got -50.0\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "spawns",
+        [
+            {"min_spawn_gap_m": 0, "events": [{"time_s": 1.0, "leg": "a"}]},
+            {"events": [{"time_s": 0, "leg": "a"}]},
+        ],
+        ids=["min_spawn_gap_m", "time_s"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_zero_spawn_gap_and_time_are_in_bound(self, tmp_path, capsys, spawns, command):
+        # Both spawn bounds are ">= 0": zero itself passes.
+        doc = {"engine": {"duration_s": 1.0}, "spawns": spawns}
+        assert run_bad(tmp_path, command, doc) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out").exists() == (command == "run")
 
     # A spawn speed is at most dynamics.speed_max (20 by default), for an
     # explicit event and for the random arrivals' upper bound alike.

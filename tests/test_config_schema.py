@@ -208,12 +208,11 @@ def nominal_with(tmp_path, edits) -> Path:
 LEG_EVENT = {"leg": "a", "time_s": 1.0}
 # (id, edits to nominal_intersection.yaml, expected message)
 TYPE_ERRORS = [
-    ("implicit_solve_string", {("estimator", "implicit_solve"): "false"},
-     "estimator.implicit_solve: expected true or false, got 'false'"),
-    ("implicit_solve_number", {("estimator", "implicit_solve"): 0.5},
-     "estimator.implicit_solve: expected true or false, got 0.5"),
-    ("implicit_solve_list", {("estimator", "implicit_solve"): [1]},
-     "estimator.implicit_solve: expected true or false, got [1]"),
+    # A retired key is unknown, whatever its value.
+    ("retired_implicit_solve_true", {("estimator", "implicit_solve"): True},
+     "estimator.implicit_solve: unknown key"),
+    ("retired_implicit_solve_false", {("estimator", "implicit_solve"): False},
+     "estimator.implicit_solve: unknown key"),
     ("intersection_id_list", {("intersections", 0, "id"): [1, 2]},
      "intersections[0].id: expected a string, got list"),
     ("leg_id_mapping", {("intersections", 0, "legs", 1, "id"): {"b": 1}},
@@ -249,11 +248,6 @@ def test_numeric_ids_read_as_strings():
     assert [leg.id for leg in scenario.intersections[0].legs] == ["2", "2.5"]
     assert scenario.spawns.events[0].intersection == "1"
     assert scenario.spawns.events[0].leg == "2"
-
-
-@pytest.mark.parametrize("value", [True, False])
-def test_bool_key_reads_yaml_bools(value):
-    assert parse_scenario({"estimator": {"implicit_solve": value}}).estimator.implicit_solve is value
 
 
 def test_required_keys_are_named():

@@ -411,31 +411,6 @@ def test_per_vehicle_summary_matches_brute_force():
     assert sum(s["steps_link_down"] for s in per_vehicle.values()) > 0
 
 
-def test_implicit_solve_whole_run(tmp_path):
-    explicit = paper_stress(prediction_step=0.1)
-    implicit = dataclasses.replace(
-        explicit,
-        estimator=dataclasses.replace(explicit.estimator, implicit_solve=True),
-    )
-    first = run(implicit)
-    for row in first.trajectory:
-        assert all(math.isfinite(v) for v in row[3:6])
-    for row in first.metrics:
-        assert math.isfinite(row[3]) and math.isfinite(row[4])
-
-    def csv_bytes(result, name):
-        write_trajectory_csv(tmp_path / f"{name}_trajectory.csv", result)
-        write_metrics_csv(tmp_path / f"{name}_metrics.csv", result)
-        return (
-            (tmp_path / f"{name}_trajectory.csv").read_bytes(),
-            (tmp_path / f"{name}_metrics.csv").read_bytes(),
-        )
-
-    assert csv_bytes(first, "first") == csv_bytes(run(implicit), "replay")
-    assert first.trajectory != run(explicit).trajectory
-
-
-
 def _bits(*values):
     return struct.pack(f"<{len(values)}d", *values)
 

@@ -308,25 +308,6 @@ class TestPredictFollowerSpeed:
         )
         assert out == 0.0
 
-    def test_implicit_solve_preserves_equilibrium(self):
-        p = params(implicit_solve=True)
-        out = predict_follower_speed(
-            prev_v=10.0, prev_r=0.0,
-            # implicit form advances position inside the bracket
-            target_v_adj=10.0, target_r_adj=0.0 + 10.0 * p.prediction_step + 5.0 + 15.0,
-            gains=GAINS, l_target=5.0, t_gap=1.5, params=p,
-        )
-        assert out == pytest.approx(10.0, abs=1e-12)
-
-    def test_implicit_differs_from_explicit_off_equilibrium(self):
-        explicit = predict_follower_speed(
-            10.0, 0.0, 10.0, 19.0, GAINS, 5.0, 1.5, params()
-        )
-        implicit = predict_follower_speed(
-            10.0, 0.0, 10.0, 19.0, GAINS, 5.0, 1.5, params(implicit_solve=True)
-        )
-        assert explicit != implicit
-
 
 # Speeds with both zeros, which the speed clamps must keep apart.
 SPEEDS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 20.0))
@@ -339,13 +320,26 @@ def read_only(values):
     return array
 
 
+def stored(est, storage):
+    """``est`` with its samples held as ``storage`` holds them, unchecked."""
+    return unchecked(
+        TrajectoryEstimate,
+        **{**vars(est), "speeds": storage(est.speeds), "positions": storage(est.positions)},
+    )
+
+
+# A received horizon is tuple-backed, or view-backed when its sender's
+# horizon came from the chain kernel; the follower loop reads both alike.
+STORAGES = pytest.mark.parametrize("storage", [tuple, read_only], ids=["tuple", "view"])
+
+
 @st.composite
 def received_case(draw):
     """A received target horizon, its age, and a follower behind it.
 
     Samples jump by up to 20 m/s and include both zeros and, rarely,
     negative speeds; the received horizon may be shorter than the
-    follower's, so the read runs past its end, and may be view-backed.
+    follower's, so the read runs past its end.
     """
     n_target = draw(st.integers(1, 12))
     n_own = draw(st.integers(1, 16))
@@ -355,12 +349,6 @@ def received_case(draw):
     target_r = draw(st.floats(-50.0, 50.0))
     est = estimate_from(speeds, anchor_time=1.0, anchor_speed=anchor_speed,
                         anchor_position=target_r)
-    if draw(st.booleans()):
-        est = TrajectoryEstimate(
-            anchor_time=est.anchor_time, step=est.step, anchor_speed=est.anchor_speed,
-            anchor_position=est.anchor_position, speeds=read_only(est.speeds),
-            positions=read_only(est.positions),
-        )
     # Whole steps (exactly zero included), which read samples as they are,
     # and fractions of a step, which interpolate.
     tau = draw(st.one_of(st.sampled_from([0.0, 0.03, 0.1, 0.25, 1.3]), st.floats(0.0, 2.0)))
@@ -379,12 +367,13 @@ class TestFollowerEstimateEquivalence:
     loop; its horizons equal the per-sample oracle's, bit for bit."""
 
     @LIMIT_CASES
-    @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
+    @STORAGES
     @given(case=received_case())
     @settings(max_examples=150, deadline=None)
-    def test_fast_path_matches_scalar_composition(self, implicit, limits, case):
+    def test_fast_path_matches_scalar_composition(self, storage, limits, case):
         est, tau, own, gains, n_own = case
-        p = params(horizon_len=n_own, implicit_solve=implicit, limits=limits)
+        est = stored(est, storage)
+        p = params(horizon_len=n_own, limits=limits)
         now = est.anchor_time + tau
         beacon = Beacon(sender=0, send_time=now, state=vstate(r=est.anchor_position),
                         estimate=est)
@@ -405,7 +394,7 @@ class TestFollowerEstimateEquivalence:
         [UNBOUNDED, TIGHT_LIMITS, DynamicsLimits(math.inf, math.inf, 18.0)],
         ids=["unbounded", "bounded", "speed_only"],
     )
-    @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
+    @STORAGES
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "where, tau, n_own",
@@ -423,7 +412,7 @@ class TestFollowerEstimateEquivalence:
             ("tail", 0.25, 12),
         ],
     )
-    def test_non_finite_target_sample_raises(self, implicit, limits, bad, where, tau, n_own):
+    def test_non_finite_target_sample_raises(self, storage, limits, bad, where, tau, n_own):
         # One received sample is corrupt: its speed, and its position where
         # the follower reads that position. "first" is the first sample the
         # read uses: the anchor at age 0, sample 2 at 2.5 steps of age.
@@ -442,9 +431,9 @@ class TestFollowerEstimateEquivalence:
             positions[7] = bad
         est = unchecked(
             TrajectoryEstimate, anchor_time=0.0, step=0.1, anchor_speed=anchor_speed,
-            anchor_position=anchor_position, speeds=tuple(speeds), positions=tuple(positions),
+            anchor_position=anchor_position, speeds=storage(speeds), positions=storage(positions),
         )
-        p = params(horizon_len=n_own, implicit_solve=implicit, limits=limits)
+        p = params(horizon_len=n_own, limits=limits)
         beacon = Beacon(sender=0, send_time=tau, state=vstate(r=50.0), estimate=est)
         own = vstate(r=20.0, v=10.0)
         with pytest.raises(NumericFault):
@@ -453,7 +442,7 @@ class TestFollowerEstimateEquivalence:
             follower_estimate(tau, own, beacon, GAINS, 1.5, p)
 
     @pytest.mark.parametrize("limits", [UNBOUNDED, TIGHT_LIMITS], ids=["unbounded", "bounded"])
-    @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
+    @STORAGES
     @pytest.mark.parametrize(
         "own_r, own_v, target_r",
         [
@@ -463,18 +452,19 @@ class TestFollowerEstimateEquivalence:
             (50.0, 10.0, math.inf),
         ],
     )
-    def test_non_finite_input_raises(self, implicit, limits, own_r, own_v, target_r):
+    def test_non_finite_input_raises(self, storage, limits, own_r, own_v, target_r):
         # The oracle rejects these inputs; the horizon loop must not clamp
         # them into a finite-looking estimate. The constructors reject them
         # too, so they are built unchecked to reach the loop's own guard.
-        p = params(horizon_len=10, implicit_solve=implicit, limits=limits)
+        p = params(horizon_len=10, limits=limits)
         est = leader_estimate(0.0, vstate(r=0.0, v=10.0), p)
         est = unchecked(
             TrajectoryEstimate,
             **{
                 **vars(est),
                 "anchor_position": target_r,
-                "positions": tuple(target_r + x for x in est.positions),
+                "speeds": storage(est.speeds),
+                "positions": storage([target_r + x for x in est.positions]),
             },
         )
         target = unchecked(VehicleState, **{**vars(vstate(v=10.0)), "position": target_r})
@@ -483,11 +473,11 @@ class TestFollowerEstimateEquivalence:
         with pytest.raises(NumericFault):
             follower_estimate(0.0, own, beacon, GAINS, 1.5, p)
 
-    @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
-    def test_saturating_limits_bind(self, implicit):
+    @STORAGES
+    def test_saturating_limits_bind(self, storage):
         # Each clamp of both loops is reached, and the loops still match the
         # oracle's min/max form bit for bit.
-        p = params(horizon_len=40, implicit_solve=implicit, limits=SATURATING)
+        p = params(horizon_len=40, limits=SATURATING)
         dt = p.prediction_step
         up, down, capped = (predict_leader_speed(p, v) for v in (0.0, 17.0, 30.0))
         assert up[0] == SATURATING.accel_max * dt  # unclamped: 0.073
@@ -498,6 +488,7 @@ class TestFollowerEstimateEquivalence:
 
         def follow(own_r, own_v, target_r, target_v):
             est = estimate_from([target_v] * 40, anchor_speed=target_v, anchor_position=target_r)
+            est = stored(est, storage)
             beacon = Beacon(sender=0, send_time=0.0, state=vstate(r=target_r, v=target_v),
                             estimate=est)
             fast = follower_estimate(0.0, vstate(r=own_r, v=own_v), beacon, GAINS, 1.5, p)
@@ -510,14 +501,16 @@ class TestFollowerEstimateEquivalence:
         assert follow(0.0, 20.0, 60.0, 20.0)[0] == SATURATING.speed_max
 
     @pytest.mark.parametrize("limits", [UNBOUNDED, TIGHT_LIMITS], ids=["unbounded", "bounded"])
-    @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
+    @STORAGES
     @pytest.mark.parametrize("v_last", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    def test_non_finite_final_target_sample_raises(self, implicit, limits, v_last):
+    def test_non_finite_final_target_sample_raises(self, storage, limits, v_last):
         # The final speed never enters the target's positions, so only a
         # read at or past the end of a short received horizon reads it.
-        est = estimate_from([10.0, 10.0, v_last], anchor_speed=10.0, anchor_position=50.0)
+        est = stored(
+            estimate_from([10.0, 10.0, v_last], anchor_speed=10.0, anchor_position=50.0), storage
+        )
         assert all(math.isfinite(r) for r in est.positions)
-        p = params(horizon_len=6, implicit_solve=implicit, limits=limits)
+        p = params(horizon_len=6, limits=limits)
         beacon = Beacon(sender=0, send_time=0.0, state=vstate(r=50.0, v=10.0), estimate=est)
         with pytest.raises(NumericFault):
             follower_estimate(0.0, vstate(r=20.0, v=10.0), beacon, GAINS, 1.5, p)

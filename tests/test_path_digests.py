@@ -31,7 +31,6 @@ The other runs take no kernel; each asserts that it takes its path:
   on a simulation step;
 - Gilbert-Elliott burst loss;
 - ``record_every: 3``;
-- the ``implicit_solve`` estimator form;
 - the free-driving leaders' one-sample horizon update, on the benchmark's
   ``long_traffic`` seed-1 document cut to 120 s.
 
@@ -280,18 +279,6 @@ def _records_every_third_step(monkeypatch):
     return None, lambda: steps[True, True] > 0 and not steps[False, True]
 
 
-def _solves_implicitly(monkeypatch):
-    calls = Counter()
-    follower = engine_module.follower_estimate
-
-    def counted(now, own, beacon, gains, t_gap, params):
-        calls[params.implicit_solve] += 1
-        return follower(now, own, beacon, gains, t_gap, params)
-
-    monkeypatch.setattr(engine_module, "follower_estimate", counted)
-    return None, lambda: calls[True] > 0 and not calls[False]
-
-
 def _updates_leader_horizons(monkeypatch):
     counts = Counter()
     leader = engine_module.leader_estimate
@@ -345,15 +332,6 @@ ENGINE_PATH_CASES = {
         "372e6d05ae2b61d13800df1c1566093e0580a88f3cabb2c6f5d72a66bf13efdd",
         "a807a5f4ffbe61de17f520953af51f4524574c911626b274acf6a5333085389b",
         "419929ac1467d3f3ff62cddd42a9911711f45bc81e7052868f8c04bdaf16988c",
-    ),
-    "implicit_solve": (
-        _replace(
-            paper_stress(prediction_step=0.1, duration=10.0), "estimator", implicit_solve=True
-        ),
-        _solves_implicitly,
-        "519607f386277b288e388c1471eade20a1645b90065a9e501575ed8c0859c30e",
-        "444220b770000135c1b671e21bc1a4c7f5648eee8af1475a1b5675d9cadb3040",
-        "2aff9d0495231e7aede0f4662f497344f7fddf507ce4ed89e92372d3e098837b",
     ),
     "leader_update": (
         _long_traffic_seed_1(),
